@@ -156,15 +156,14 @@ def cmd_analyze(args) -> int:
     rows: list[tuple[str, str]] = []
 
     seed = args.seed if args.seed is not None else 0
+    graph = build(cfg, seed=seed) if (args.params or args.paths or want_all) else None
     if args.params or want_all:
-        graph = build(cfg, seed=seed)
         report = count_params(graph)
         for scope, count in report.scopes:
             rows.append((f"params.{scope}", str(count)))
         rows.append(("params.total", str(report.total)))
         rows.append(("params.millions", f"{report.millions():.1f}"))
     if args.paths or want_all:
-        graph = build(cfg, seed=seed)
         stats = count_paths(graph)
         rows.append(("paths.total", str(stats.count)))
         for length, cnt in sorted(stats.length_histogram.items()):

@@ -6,7 +6,10 @@ loss. Ops compute eagerly with numpy and record a tape node on the output
 so :func:`backward` can sweep the graph in reverse topological order.
 
 Conventions:
-  * image layout is N x C x H x W,
+  * image layout is N x C x H x W at every op boundary; a stride-1
+    convolution works on zero-padded NHWC rows inside the op (one GEMM per
+    kernel tap, see :func:`_conv2d_shift`), other strides and max pooling
+    unfold windows with im2col,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite and raises
@@ -45,12 +48,14 @@ _buffer_reuse_enabled = False
 
 
 def enable_buffer_reuse() -> bool:
-    """Keep large numpy buffers on the heap so repeated steps reuse pages.
+    """Keep large numpy buffers on the heap so repeated calls reuse pages.
 
     By default glibc serves multi-megabyte allocations with fresh mmap
-    regions, so every training step pays a page-fault storm for its im2col
-    buffers. Retaining them on the heap roughly halves step time. Idempotent;
-    returns False when the allocator does not support the knobs (non-glibc).
+    regions and unmaps them on free, so each call faults in its buffers'
+    pages again. Keeping them on the heap saves those faults, which matters
+    most for evaluation: it allocates eval-batch-sized activations for every
+    node. Sets process-wide glibc ``mallopt`` knobs. Idempotent; returns
+    False when the allocator does not support the knobs (non-glibc).
     """
     global _buffer_reuse_enabled
     if _buffer_reuse_enabled:
@@ -203,13 +208,113 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
 
 
 # ---------------------------------------------------------------------------
+# shift-GEMM convolution (stride 1)
+# ---------------------------------------------------------------------------
+
+def _pad_flat(x: np.ndarray, pad: int, dtype, channel_major: bool = False) -> np.ndarray:
+    """Zero-pad x (N,C,H,W) and flatten its pixels to rows: NHWC (N*Hp*Wp, C).
+
+    ``channel_major`` gives the transpose, (C, N*Hp*Wp), for the grad-w GEMMs,
+    which run faster with the long pixel axis contiguous on both operands.
+    """
+    n, c, h, w = x.shape
+    if channel_major:
+        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+        return xp.reshape(c, -1)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    xp[:, pad:pad + h, pad:pad + w, :] = x.transpose(0, 2, 3, 1)
+    return xp.reshape(-1, c)
+
+
+_TAP_BLOCK = 2048  # output rows per block: a block's partial sums stay in cache
+
+
+def _tap_gemm(src: np.ndarray, mats: Sequence[np.ndarray], offsets: Sequence[int],
+              rows: int, span: int) -> np.ndarray:
+    """Sum of shifted GEMMs: out[r] = sum_k src[r + offsets[k]] @ mats[k].
+
+    Returns ``rows`` output rows of which only the first ``span`` are
+    computed; the rest are left uninitialised for the caller to crop away.
+    """
+    out = np.empty((rows, mats[0].shape[1]), dtype=src.dtype)
+    part = np.empty((min(_TAP_BLOCK, span), out.shape[1]), dtype=src.dtype)
+    for lo in range(0, span, _TAP_BLOCK):
+        hi = min(lo + _TAP_BLOCK, span)
+        acc = out[lo:hi]
+        np.matmul(src[lo + offsets[0]:hi + offsets[0]], mats[0], out=acc)
+        for off, m in zip(offsets[1:], mats[1:]):
+            np.matmul(src[lo + off:hi + off], m, out=part[:hi - lo])
+            acc += part[:hi - lo]
+    return out
+
+
+def _conv2d_shift(x: Tensor, weight: Tensor, pad: int) -> Tensor:
+    """Stride-1 conv2d as one GEMM per kernel tap, with no im2col buffer.
+
+    In the flat padded NHWC layout, pixel (n, r, c) is row (n*Hp + r)*Wp + c,
+    so tap (i, j) of every output pixel is the contiguous row slice starting
+    at i*Wp + j. Summing the taps' GEMMs gives a "wide" output on the padded
+    grid; rows whose window wraps past a row or image edge fall outside the
+    crop back to (OH, OW). Only the first ``span`` rows are computed: every
+    later row lies outside the crop, and stopping there keeps each tap's
+    slice inside the padded input. Grad-x is the same sum over the output
+    gradient, shifted the other way, with transposed tap weights.
+    """
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh, ow = hp - kh + 1, wp - kw + 1
+    rows = n * hp * wp
+    lead = (kh - 1) * wp + (kw - 1)  # the largest tap offset
+    span = rows - lead
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    dtype = np.result_type(x.data, weight.data)
+
+    def crop(flat: np.ndarray, top: int, height: int, width: int) -> np.ndarray:
+        grid = flat.reshape(n, hp, wp, -1)[:, top:top + height, top:top + width, :]
+        return np.ascontiguousarray(grid.transpose(0, 3, 1, 2))
+
+    # the padded input and the per-tap weights are rebuilt on backward
+    # instead of being pinned on the tape
+    taps = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout).astype(dtype)
+    out = crop(_tap_gemm(_pad_flat(x.data, pad, dtype), taps, offsets, rows, span), 0, oh, ow)
+
+    def vjp(g: np.ndarray):
+        # output gradient on the padded grid, behind ``lead`` zero rows so
+        # grad-x can read it at non-negative offsets
+        gbig = np.zeros((lead + rows, cout), dtype=dtype)
+        gbig[lead:].reshape(n, hp, wp, cout)[:, :oh, :ow, :] = g.transpose(0, 2, 3, 1)
+        gx = gw = None
+        if weight.requires_grad:
+            xc = _pad_flat(x.data, pad, dtype, channel_major=True)
+            gf = gbig[lead:lead + span]
+            gw = np.empty((kh * kw, cin, cout), dtype=dtype)
+            for k, off in enumerate(offsets):
+                np.matmul(xc[:, off:off + span], gf, out=gw[k])
+            gw = np.ascontiguousarray(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
+            del xc
+        if x.requires_grad:
+            taps_t = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin).astype(dtype)
+            gxf = _tap_gemm(gbig, taps_t, [lead - off for off in offsets], rows, rows)
+            gx = crop(gxf, pad, h, w)
+        return gx, gw
+
+    return _make(out, "conv2d", (x, weight), vjp)
+
+
+# ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Bias-free 2-D cross-correlation.
 
-    x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw) with odd kernel extents.
+    x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw) with odd kernel extents;
+    the output is NCHW. Stride 1 runs as shift-GEMM on NHWC rows
+    (:func:`_conv2d_shift`), with no im2col buffer and no col2im; any other
+    stride unfolds windows with im2col. Both recompute their unfolded or
+    padded input on backward instead of keeping it on the tape.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -225,6 +330,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if oh < 1 or ow < 1:
         raise ConfigError(f"conv2d output would be empty for input {h}x{w}, kernel {kh}x{kw}, "
                           f"stride {stride}, padding {padding}")
+
+    if stride == 1:
+        return _conv2d_shift(x, weight, padding)
 
     cols = _im2col(x.data, kh, kw, stride, padding)
     w2 = weight.data.reshape(cout, -1)

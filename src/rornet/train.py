@@ -44,8 +44,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_lr <= 0 or self.lr_factor <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("learning rates, batch size and epoch count must be positive")
+        if self.base_lr <= 0 or self.lr_factor <= 0 or self.max_epochs < 1:
+            raise ConfigError("learning rates and epoch count must be positive")
+        if self.batch_size < 2:
+            raise ConfigError("batch size must be at least 2: train-mode batch norm "
+                              "cannot normalize a single sample")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight decay must be non-negative, got {self.weight_decay}")
         ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")

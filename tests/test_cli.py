@@ -149,6 +149,13 @@ class TestTrainEvalCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["train"]["sd_p_l"] == 0.5
 
+    def test_batch_size_one_is_config_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "8",
+                               "--classes", "4", "--blocks", "1,1,1", "--epochs", "1",
+                               "--batch-size", "1", "--out-dir", str(tmp_path / "b"))
+        assert code == 2
+        assert "batch size" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_failure(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "32",

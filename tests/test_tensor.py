@@ -47,7 +47,16 @@ class TestConv2d:
     def test_matches_naive_oracle(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        # two images, so stride-1 rows that straddle the image seam must be
+        # cropped; H != W, Cin != Cout, a non-square kernel and 1x1 kernels
+        x2 = rng.normal(size=(2, 3, 5, 7))
+        w3 = rng.normal(size=(4, 3, 3, 3))
+        w53 = rng.normal(size=(2, 3, 5, 3))
+        w1 = rng.normal(size=(5, 3, 1, 1))
+        for x, w, stride, pad in [(x, w, 1, 0), (x, w, 1, 1), (x, w, 2, 1),
+                                  (x2, w3, 1, 0), (x2, w3, 1, 1), (x2, w3, 1, 2), (x2, w3, 2, 1),
+                                  (x2, w53, 1, 1), (x2, w1, 1, 0), (x2, w1, 1, 1), (x2, w1, 2, 0),
+                                  (x2, w1, 4, 0)]:
             got = T.conv2d(T.Tensor(x), T.Tensor(w), stride, pad).data
             want = naive_conv2d(x, w, stride, pad)
             assert np.abs(got - want).max() < 1e-6
@@ -65,9 +74,13 @@ class TestConv2d:
             T.conv2d(x, w, 1, 0)
 
     def test_gradients(self, rng):
-        err = check_gradient(lambda x, w: T.conv2d(x, w, 2, 1),
-                             [rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))])
-        assert err < 1e-4
+        # stride 2 takes the im2col path; stride 1 the shift-GEMM path
+        for stride, pad, x_shape, w_shape in [(2, 1, (2, 3, 6, 6), (4, 3, 3, 3)),
+                                              (1, 1, (2, 3, 5, 6), (4, 3, 3, 3)),
+                                              (1, 0, (2, 3, 5, 6), (4, 3, 1, 1))]:
+            err = check_gradient(lambda x, w: T.conv2d(x, w, stride, pad),
+                                 [rng.normal(size=x_shape), rng.normal(size=w_shape)])
+            assert err < 1e-4
 
 
 class TestBatchNorm:

@@ -39,6 +39,13 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(milestones=(10, 30), max_epochs=20)
 
+    @pytest.mark.parametrize("bad", [dict(batch_size=1), dict(momentum=1.0), dict(momentum=-0.1),
+                                     dict(weight_decay=-1e-4)])
+    def test_bad_hyperparameters_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+        TrainConfig(batch_size=2, momentum=0.0, weight_decay=0.0)
+
 
 def make_param(name, values):
     p = T.Parameter(name, np.array(values, dtype=np.float64))
