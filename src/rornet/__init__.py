@@ -25,7 +25,6 @@ _EXPORTS = {
     "sample_gates": "stochastic_depth",
     "count_params": "analysis",
     "count_paths": "analysis",
-    "expected_active_blocks": "analysis",
     "Dataset": "data",
     "load_cifar": "data",
     "synthetic_dataset": "data",

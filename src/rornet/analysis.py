@@ -36,12 +36,6 @@ class PathStats:
     count: int                     # exact number of input-to-output additive paths
     length_histogram: dict[int, int]  # residual branches traversed -> path count
 
-    def as_text(self) -> str:
-        lines = [f"paths  {self.count:,}"]
-        for length in sorted(self.length_histogram):
-            lines.append(f"  length {length:>3}: {self.length_histogram[length]:,}")
-        return "\n".join(lines)
-
 
 def params_millions(total: int) -> float:
     """Report a count at 0.1M granularity, truncating like the usual tables."""
@@ -98,11 +92,6 @@ def count_paths(graph: Graph) -> PathStats:
             polys[node.id] = polys[node.inputs[0]]
     out = polys[graph.output_id]
     return PathStats(sum(out.values()), dict(sorted(out.items())))
-
-
-def expected_active_blocks(schedule: SurvivalSchedule) -> float:
-    """Sum of survival probabilities: mean number of live residual branches."""
-    return schedule.expected_active
 
 
 def expected_saving_ratio(schedule: SurvivalSchedule) -> float:

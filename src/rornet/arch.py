@@ -16,7 +16,7 @@ per-block shortcut. With a single level the graph is a plain residual chain.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -402,14 +402,16 @@ def build_residual_block(g: Graph, block: BlockPlan, order: str, block_size: str
     return add.id
 
 
-def attach_level_shortcuts(g: Graph, plan: ResolvedPlan, seed: int, dtype) -> None:
+def attach_level_shortcuts(g: Graph, plan: ResolvedPlan, block_outputs: list[str],
+                           block_adds: list[str], seed: int, dtype) -> None:
     """Add the upper-level projected terms onto their destination additions.
 
-    The base graph must already exist with single-level semantics; projection
-    nodes are inserted immediately before their destination addition so the
-    node list stays topologically ordered.
+    The base graph must already exist with single-level semantics;
+    ``block_outputs[k]`` is the output of block k (0 = stem) and
+    ``block_adds[k - 1]`` its addition. Projection nodes are inserted
+    immediately before their destination addition so the node list stays
+    topologically ordered.
     """
-    block_outputs: list[str] = g.meta["block_outputs"]
     counters: dict[int, int] = {}
     for ls in plan.level_shortcuts:
         counters[ls.level] = counters.get(ls.level, 0) + 1
@@ -420,7 +422,7 @@ def attach_level_shortcuts(g: Graph, plan: ResolvedPlan, seed: int, dtype) -> No
         else:
             name = f"level{ls.level}.seg{counters[ls.level]:02d}.proj"
         src = block_outputs[ls.src_block]
-        dst_add = g.meta["block_adds"][ls.dst_block - 1]
+        dst_add = block_adds[ls.dst_block - 1]
         out_id = make_projection(g, ls.spec, src, name, seed, dtype, before=dst_add)
         add_node = g.by_id[dst_add]
         if g.by_id[out_id].shape != add_node.shape:
@@ -440,8 +442,7 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     order, block_size = config.block_order, plan.block_size
 
     g = Graph(plan.family, plan.input_shape,
-              meta={"dtype": dtype, "num_blocks": plan.num_blocks,
-                    "config": config_to_dict(config), "seed": seed})
+              meta={"dtype": dtype, "num_blocks": plan.num_blocks, "plan": plan})
     g.add_node("input", "input", [], {}, plan.input_shape)
     g.input_id = "input"
 
@@ -470,10 +471,8 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
         out = build_residual_block(g, block, order, block_size, out, name, seed, dtype)
         block_outputs.append(out)
         block_adds.append(f"{name}.add")
-    g.meta["block_outputs"] = block_outputs
-    g.meta["block_adds"] = block_adds
 
-    attach_level_shortcuts(g, plan, seed, dtype)
+    attach_level_shortcuts(g, plan, block_outputs, block_adds, seed, dtype)
 
     if order == "pre_act":
         out = _bn(g, "epilogue.bn", out, plan.feature_width, dtype)
@@ -487,7 +486,6 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     g.add_node("head.fc", "linear", ["head.gap"], {"weight": wname, "bias": bname},
                (config.num_classes,))
     g.output_id = "head.fc"
-    g.meta["plan"] = plan
     return g
 
 
@@ -500,13 +498,6 @@ def _block_pos(plan: ResolvedPlan, block: BlockPlan) -> int:
 # ---------------------------------------------------------------------------
 # flat text config format
 # ---------------------------------------------------------------------------
-
-def config_to_dict(config: ArchConfig) -> dict:
-    d = asdict(config)
-    if d["blocks_per_group"] is not None:
-        d["blocks_per_group"] = list(d["blocks_per_group"])
-    return d
-
 
 def config_to_text(config: ArchConfig) -> str:
     """Serialize as flat key=value lines (omitting unset optionals)."""
@@ -533,12 +524,15 @@ def config_from_text(text: str) -> ArchConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        if key in ("depth", "width_k", "levels_m", "num_classes"):
-            kwargs[key] = int(value)
-        elif key == "sd_p_l":
-            kwargs[key] = float(value)
-        elif key == "blocks_per_group":
-            kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        else:
-            kwargs[key] = value
+        try:
+            if key in ("depth", "width_k", "levels_m", "num_classes"):
+                kwargs[key] = int(value)
+            elif key == "sd_p_l":
+                kwargs[key] = float(value)
+            elif key == "blocks_per_group":
+                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            else:
+                kwargs[key] = value
+        except ValueError:
+            raise ConfigError(f"config line {lineno}: bad value for {key}: {value!r}") from None
     return ArchConfig(**kwargs)

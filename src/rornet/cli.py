@@ -15,35 +15,40 @@ import sys
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-__version__ = "0.1.0"
+from . import __version__
+
+
+def _bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
 
 
 _TRAIN_FILE_KEYS = {
     "base_lr": float, "lr_factor": float, "momentum": float, "weight_decay": float,
-    "batch_size": int, "max_epochs": int, "pad_crop": lambda v: v.lower() == "true",
-    "hflip": lambda v: v.lower() == "true", "seed": int,
+    "batch_size": int, "max_epochs": int, "pad_crop": _bool, "hflip": _bool, "seed": int,
     "milestones": lambda v: tuple(int(m) for m in v.split(",") if m.strip()),
 }
 
 
 def _split_config_file(path):
-    """A config file may mix architecture and training keys; split them."""
+    """A config file may mix architecture and training keys; split them.
+
+    Training-key lines are blanked, not dropped, so the architecture text
+    keeps the file's line numbers for error messages.
+    """
     from .exceptions import ConfigError
 
-    arch_lines, train_kwargs = [], {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key = line.split("=", 1)[0].strip()
+    lines, train_kwargs = Path(path).read_text().splitlines(), {}
+    for lineno, raw in enumerate(lines, start=1):
+        key, _, value = (part.strip() for part in raw.partition("="))
         if key in _TRAIN_FILE_KEYS:
             try:
-                train_kwargs[key] = _TRAIN_FILE_KEYS[key](line.split("=", 1)[1].strip())
+                train_kwargs[key] = _TRAIN_FILE_KEYS[key](value)
             except ValueError as e:
                 raise ConfigError(f"config line {lineno}: {e}") from None
-        else:
-            arch_lines.append(line)
-    return "\n".join(arch_lines) + "\n", train_kwargs
+            lines[lineno - 1] = ""
+    return "\n".join(lines) + "\n", train_kwargs
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
@@ -147,7 +152,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import count_params, count_paths, expected_active_blocks, expected_saving_ratio
+    from .analysis import count_params, count_paths, expected_saving_ratio
     from .arch import build, resolve_config
     from .stochastic_depth import survival_schedule
 
@@ -173,7 +178,7 @@ def cmd_analyze(args) -> int:
         p_l = args.pL if args.pL is not None else (cfg.sd_p_l or 0.5)
         sched = survival_schedule(plan.num_blocks, p_l)
         rows.append(("expected_depth.blocks", str(plan.num_blocks)))
-        rows.append(("expected_depth.active", f"{expected_active_blocks(sched):g}"))
+        rows.append(("expected_depth.active", f"{sched.expected_active:g}"))
         rows.append(("expected_depth.saving", f"{expected_saving_ratio(sched):.6f}"))
 
     if args.format == "csv":
@@ -187,46 +192,41 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_datasets(args, manifest_entry=None, num_classes=10):
-    """Datasets per CLI flags (or a manifest echo when re-running eval)."""
+def _load_datasets(entry: dict):
+    """Train and test splits for a manifest dataset entry, plus the entry
+    with their digests filled in."""
     from .data import load_cifar, synthetic_dataset
     from .exceptions import DataError
 
-    src = manifest_entry or {}
-    if args.synthetic or src.get("kind") == "synthetic":
-        seed = src.get("seed", getattr(args, "data_seed", None))
-        if seed is None:
-            seed = 1
-        samples = src.get("samples", getattr(args, "samples", 500))
-        classes = src.get("classes", num_classes)
-        difficulty = src.get("difficulty", getattr(args, "difficulty", "easy"))
-        train_set = synthetic_dataset(seed, classes, samples, difficulty, split="train")
+    if entry["kind"] == "synthetic":
+        seed, classes, samples = entry["seed"], entry["classes"], entry["samples"]
+        train_set = synthetic_dataset(seed, classes, samples, entry["difficulty"], split="train")
         test_set = synthetic_dataset(seed + 1, classes, max(classes, samples // 5),
-                                     difficulty, split="test")
-        entry = {"kind": "synthetic", "seed": seed, "samples": samples,
-                 "classes": classes, "difficulty": difficulty,
-                 "digests": {"train": train_set.digest, "test": test_set.digest}}
-        return train_set, test_set, entry
-    data_dir = src.get("path", args.data)
-    if not data_dir:
+                                     entry["difficulty"], split="test")
+    elif not entry.get("path"):
         raise DataError("no dataset: pass --synthetic or --data DIR")
-    variant = src.get("variant", getattr(args, "dataset", "c10"))
-    train_set, test_set = load_cifar(data_dir, variant)
-    entry = {"kind": variant, "path": str(data_dir), "variant": variant,
-             "digests": {"train": train_set.digest, "test": test_set.digest}}
-    return train_set, test_set, entry
+    else:
+        train_set, test_set = load_cifar(entry["path"], entry["variant"])
+    digests = {"train": train_set.digest, "test": test_set.digest}
+    return train_set, test_set, {**entry, "digests": digests}
 
 
 def cmd_train(args) -> int:
-    from .arch import build, config_to_dict, config_to_text
-    from .data import save_checkpoint
+    from dataclasses import asdict
+
+    from .arch import build
     from .train import TrainConfig, normalize_dataset, train
 
     cfg = _arch_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_set, test_set, data_entry = _load_datasets(args, num_classes=cfg.num_classes)
+    if args.synthetic:
+        entry = {"kind": "synthetic", "seed": args.data_seed, "samples": args.samples,
+                 "classes": cfg.num_classes, "difficulty": args.difficulty}
+    else:
+        entry = {"kind": args.dataset, "path": args.data, "variant": args.dataset}
+    train_set, test_set, data_entry = _load_datasets(entry)
     train_set, test_set, stats = normalize_dataset(train_set, test_set)
 
     file_train = _split_config_file(args.config)[1] if args.config else {}
@@ -256,12 +256,8 @@ def cmd_train(args) -> int:
     manifest = {
         "tool_version": __version__,
         "command": "train",
-        "arch": config_to_dict(cfg),
-        "train": {"base_lr": tc.base_lr, "milestones": list(tc.milestones),
-                  "lr_factor": tc.lr_factor, "momentum": tc.momentum,
-                  "weight_decay": tc.weight_decay, "batch_size": tc.batch_size,
-                  "max_epochs": tc.max_epochs, "pad_crop": tc.pad_crop,
-                  "hflip": tc.hflip, "sd_p_l": tc.sd_p_l, "seed": tc.seed},
+        "arch": asdict(cfg),
+        "train": asdict(tc),
         "seed": seed,
         "threads": _thread_setting(),
         "dataset": data_entry,
@@ -269,11 +265,7 @@ def cmd_train(args) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    def checkpoint_hook(tag: str) -> None:
-        name = "checkpoint.bin" if tag == "final" else f"checkpoint_{tag}.bin"
-        save_checkpoint(out_dir / name, graph.state_dict(), config_to_text(cfg))
-
-    log = train(graph, train_set, test_set, tc, out_dir=out_dir, checkpoint_hook=checkpoint_hook)
+    log = train(graph, train_set, test_set, tc, out_dir=out_dir)
     final = log.rows[-1]
     print(f"finished {len(log.rows)} epochs: train_err {final.train_err:.2f}% "
           f"(acc {100 - final.train_err:.2f}%), test_err {final.test_err:.2f}%")
@@ -283,12 +275,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from .arch import build, config_from_text
     from .data import load_checkpoint
     from .exceptions import DataError
-    from .train import evaluate
+    from .train import evaluate, standardize
     from .stochastic_depth import survival_schedule
 
     run_dir = Path(args.run_dir)
@@ -299,17 +289,14 @@ def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "checkpoint.bin"
     state, config_text = load_checkpoint(ckpt)
 
-    cfg = config_from_text(config_text)
-    graph = build(cfg, seed=manifest.get("seed", 0))
+    graph = build(config_from_text(config_text))
     graph.load_state(state)
 
-    args.synthetic = manifest["dataset"].get("kind") == "synthetic"
-    train_set, test_set, _ = _load_datasets(args, manifest_entry=manifest["dataset"])
-    stats = manifest["normalization"]
-    mean = np.asarray(stats["mean"], dtype=np.float32)[None, :, None, None]
-    std = np.asarray(stats["std"], dtype=np.float32)[None, :, None, None]
-    from dataclasses import replace
-    test_set = replace(test_set, images=((test_set.images - mean) / std).astype(np.float32))
+    entry = manifest["dataset"]
+    if args.data:
+        entry = {**entry, "path": args.data}
+    _, test_set, _ = _load_datasets(entry)
+    test_set = standardize(test_set, manifest["normalization"])
 
     schedule = None
     if manifest["train"].get("sd_p_l"):
@@ -443,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True, help="directory with manifest.json and checkpoint.bin")
     p.add_argument("--checkpoint", help="explicit checkpoint path override")
     p.add_argument("--data", help="dataset directory override")
-    p.set_defaults(func=cmd_eval, synthetic=False)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render smoothed test-error curves to SVG")
     p.add_argument("csvs", nargs="+", help="metrics.csv files")

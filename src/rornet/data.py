@@ -9,14 +9,16 @@ round-trips byte-exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ChecksumError, DataError, StateNameError, VersionError
+from .exceptions import (CheckpointError, ChecksumError, DataError, StateNameError,
+                         VersionError)
 
 C10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 C10_TEST_FILES = ["test_batch.bin"]
@@ -47,9 +49,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-    def subset(self, idx) -> "Dataset":
-        return replace(self, images=self.images[idx], labels=self.labels[idx])
 
 
 def _parse_cifar_bytes(raw: bytes, variant: str, source: str) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +158,11 @@ def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint, validating magic, version and checksum first."""
+    """Read a checkpoint, validating magic, version and checksum first.
+
+    Every field read is bounds-checked; a malformed field raises
+    :class:`CheckpointError` naming it.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < len(_MAGIC) + 12:
         raise VersionError(f"{path}: too short to be a checkpoint")
@@ -168,36 +171,45 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
     if body[:len(_MAGIC)] != _MAGIC:
         raise VersionError(f"{path}: bad magic, not a checkpoint file")
+    view = memoryview(body)
     off = len(_MAGIC)
 
-    def take(fmt: str):
+    def fault(what: str, tensor, problem: str) -> CheckpointError:
+        owner = "" if tensor is None else f" of tensor {tensor!r}"
+        return CheckpointError(f"{path}: {what}{owner} {problem}")
+
+    def take(size: int, what: str, tensor=None) -> memoryview:
         nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, body, off)
+        if off + size > len(body):
+            raise fault(what, tensor, "runs past the end of the file")
         off += size
+        return view[off - size:off]
+
+    def number(fmt: str, what: str, tensor=None):
+        vals = struct.unpack(fmt, take(struct.calcsize(fmt), what, tensor))
         return vals if len(vals) > 1 else vals[0]
 
-    version = take("<I")
+    def text(size: int, what: str, tensor=None) -> str:
+        try:
+            return bytes(take(size, what, tensor)).decode()
+        except UnicodeDecodeError:
+            raise fault(what, tensor, "is not UTF-8") from None
+
+    version = number("<I", "version")
     if version != _VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    config_len = take("<I")
-    config_text = body[off:off + config_len].decode()
-    off += config_len
-    count = take("<I")
+    config_text = text(number("<I", "config length"), "config text")
+    count = number("<I", "tensor count")
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = take("<H")
-        name = body[off:off + name_len].decode()
-        off += name_len
-        code, ndim = take("<BB")
+    for i in range(count):
+        name = text(number("<H", "name length", i), "name", i)
+        code, ndim = number("<BB", "dtype", name)
         if code not in _DTYPES:
             raise VersionError(f"{path}: unknown dtype code {code} for tensor {name!r}")
-        shape = tuple(take("<I") for _ in range(ndim))
+        shape = tuple(number("<I", "shape", name) for _ in range(ndim))
         dtype = np.dtype(_DTYPES[code])
-        nelem = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(body, dtype=dtype, count=nelem, offset=off).reshape(shape).copy()
-        off += nelem * dtype.itemsize
+        data = take(math.prod(shape) * dtype.itemsize, "data", name)
         if name in state:
             raise StateNameError(f"{path}: duplicate tensor name {name!r}")
-        state[name] = arr
+        state[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     return state, config_text

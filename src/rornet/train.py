@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset
+from .arch import config_to_text
+from .data import Dataset, save_checkpoint
 from .exceptions import ConfigError, NumericError
 from .graph import Graph, forward
 from .stochastic_depth import (SurvivalSchedule, batch_gate_seeds, sample_gates,
@@ -176,12 +177,14 @@ def normalize_dataset(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, 
         dead = np.nonzero(std == 0)[0].tolist()
         raise NumericError(f"zero standard deviation in channel(s) {dead}; cannot normalize")
     stats = {"mean": mean.tolist(), "std": std.tolist()}
+    return standardize(train, stats), standardize(test, stats), stats
 
-    def apply(ds: Dataset) -> Dataset:
-        images = ((ds.images - mean[None, :, None, None]) / std[None, :, None, None]).astype(np.float32)
-        return replace(ds, images=images)
 
-    return apply(train), apply(test), stats
+def standardize(ds: Dataset, stats: dict) -> Dataset:
+    """Apply stored per-channel ``stats`` (from :func:`normalize_dataset`) to ``ds``."""
+    mean = np.asarray(stats["mean"], dtype=ds.images.dtype)[None, :, None, None]
+    std = np.asarray(stats["std"], dtype=ds.images.dtype)[None, :, None, None]
+    return replace(ds, images=((ds.images - mean) / std).astype(np.float32))
 
 
 def top1_error(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -208,14 +211,14 @@ def evaluate(graph: Graph, dataset: Dataset, batch_size: int = 256,
 # ---------------------------------------------------------------------------
 
 def train(graph: Graph, train_set: Dataset, test_set: Dataset, config: TrainConfig,
-          out_dir=None, checkpoint_hook=None, stop_fn=None) -> MetricsLog:
+          out_dir=None, stop_fn=None) -> MetricsLog:
     """Run the full schedule and return the per-epoch metrics log.
 
-    When ``out_dir`` is given, appends metrics.csv rows as epochs finish and
-    writes a checkpoint at every milestone and at the end of the run.
-    ``checkpoint_hook(tag)`` is called instead when provided (the CLI passes
-    one that also writes the manifest). ``stop_fn(log)`` is consulted after
-    each epoch; returning True ends the run early (checkpoint still written).
+    When ``out_dir`` is given, rewrites metrics.csv as epochs finish and
+    writes ``checkpoint_epochNNNN.bin`` at every milestone and
+    ``checkpoint.bin`` at the end of the run, each carrying the config text
+    that rebuilds ``graph``. ``stop_fn(log)`` is consulted after each epoch;
+    returning True ends the run early (checkpoint still written).
     """
     T.enable_buffer_reuse()
     if len(train_set) < 2:
@@ -234,13 +237,10 @@ def train(graph: Graph, train_set: Dataset, test_set: Dataset, config: TrainConf
     start_time = time.perf_counter()
     n = len(train_set)
 
-    def write_checkpoint(tag: str) -> None:
-        if checkpoint_hook is not None:
-            checkpoint_hook(tag)
-        elif out_dir is not None:
-            from .data import save_checkpoint
-            name = "checkpoint.bin" if tag == "final" else f"checkpoint_{tag}.bin"
-            save_checkpoint(out_dir / name, graph.state_dict())
+    def write_checkpoint(name: str) -> None:
+        if out_dir is not None:
+            save_checkpoint(out_dir / name, graph.state_dict(),
+                            config_to_text(graph.meta["plan"].config))
 
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     for epoch in range(config.max_epochs):
@@ -291,9 +291,9 @@ def train(graph: Graph, train_set: Dataset, test_set: Dataset, config: TrainConf
         if out_dir is not None:
             log.to_csv(out_dir / "metrics.csv")
         if epoch + 1 in config.milestones:
-            write_checkpoint(f"epoch{epoch + 1:04d}")
+            write_checkpoint(f"checkpoint_epoch{epoch + 1:04d}.bin")
         if stop_fn is not None and stop_fn(log):
             break
 
-    write_checkpoint("final")
+    write_checkpoint("checkpoint.bin")
     return log

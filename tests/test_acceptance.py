@@ -268,7 +268,7 @@ def test_criterion_5_structural_counts():
     # three-level: final addition has fan-in 4, three middles and one root
     g3 = build(ArchConfig(depth=20, levels_m=3))
     fan_ins = {n.id: len(n.inputs) for n in g3.add_nodes()}
-    last_add = g3.meta["block_adds"][-1]
+    last_add = g3.add_nodes()[-1].id
     fanin_ok = fan_ins[last_add] == 4
     level_params = [n for n in g3.nodes if n.id.startswith("level")]
     middles = sum(1 for n in level_params if n.id.startswith("level2"))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rornet.analysis import (count_params, count_paths, expected_active_blocks,
-                             expected_saving_ratio, params_millions)
+from rornet.analysis import (count_params, count_paths, expected_saving_ratio,
+                             params_millions)
 from rornet.arch import ArchConfig, build
 from rornet.stochastic_depth import survival_schedule
 
@@ -136,11 +136,11 @@ class TestCountPaths:
 class TestExpectedDepth:
     def test_direct_sum_54(self):
         sched = survival_schedule(54, 0.5)
-        assert expected_active_blocks(sched) == pytest.approx(40.25, abs=1e-12)
+        assert sched.expected_active == pytest.approx(40.25, abs=1e-12)
 
     def test_certain_survival_gives_all_blocks(self):
         sched = survival_schedule(33, 1.0)
-        assert expected_active_blocks(sched) == 33
+        assert sched.expected_active == 33
 
     def test_saving_ratio_near_one_quarter(self):
         # exact ratio is (1-p)(L+1)/(2L); approaches (1-p)/2 = 0.25 from above

@@ -61,6 +61,17 @@ class TestBuildCommand:
         assert manifest["train"]["max_epochs"] == 2
         assert manifest["seed"] == 9
 
+    @pytest.mark.parametrize("text, line", [
+        ("batch_size=16\ndepth=abc\n", 2),          # arch value, after a training key
+        ("depth=20\n# augmentation\npad_crop=yes\n", 3),  # boolean training key
+    ])
+    def test_bad_config_value_is_config_error(self, capsys, tmp_path, text, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "build", "--config", str(cfg))
+        assert code == 2
+        assert f"config line {line}" in err
+
 
 class TestAnalyzeCommand:
     def test_paths_via_dfs_oracle(self, capsys):
@@ -125,6 +136,27 @@ class TestTrainEvalCommands:
         code, out, _ = run_cli(capsys, "eval", "--run-dir", str(run_dir))
         assert code == 0
         printed = float(out.split("test_err")[1].split("%")[0])
+        assert printed == pytest.approx(log.rows[-1].test_err, abs=5e-5)
+
+    def test_eval_data_flag_replaces_manifest_path(self, capsys, tmp_path):
+        from rornet.data import C10_TEST_FILES, C10_TRAIN_FILES
+        from rornet.train import MetricsLog
+        from test_data import write_c10_fixture
+        recs = [(k, lambda c, r, col, k=k: (k * 53 + c * 7 + r * 3 + col) % 256)
+                for k in range(8)]
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        for name in C10_TRAIN_FILES + C10_TEST_FILES:
+            write_c10_fixture(shards / name, recs)
+        run = tmp_path / "run"
+        code = main(["train", "--data", str(shards), "--blocks", "1,1,1", "--levels", "2",
+                     "--epochs", "1", "--batch-size", "8", "--out-dir", str(run)])
+        assert code == 0
+        moved = shards.rename(tmp_path / "moved")
+        code, out, _ = run_cli(capsys, "eval", "--run-dir", str(run), "--data", str(moved))
+        assert code == 0
+        printed = float(out.split("test_err")[1].split("%")[0])
+        log = MetricsLog.from_csv(run / "metrics.csv")
         assert printed == pytest.approx(log.rows[-1].test_err, abs=5e-5)
 
     def test_eval_missing_run_dir(self, capsys, tmp_path):

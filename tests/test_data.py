@@ -6,8 +6,8 @@ import pytest
 
 from rornet.data import (Dataset, load_cifar, load_checkpoint, save_checkpoint,
                          synthetic_dataset)
-from rornet.exceptions import (ChecksumError, DataError, StateNameError,
-                               VersionError)
+from rornet.exceptions import (CheckpointError, ChecksumError, DataError,
+                               StateNameError, VersionError)
 
 
 def write_c10_fixture(path, records):
@@ -203,6 +203,25 @@ class TestCheckpoint:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(VersionError):
             load_checkpoint(path)
+
+    def test_malformed_fields_rejected(self, tmp_path, rng):
+        import re
+        import struct
+        import zlib
+        path = tmp_path / "k.bin"
+        save_checkpoint(path, self._state(rng), "depth=20\n")
+        body = path.read_bytes()[:-4]
+        name0 = 8 + 4 + 4 + len("depth=20\n") + 4  # magic, version, config, count
+        crafted = {
+            "config text": body[:12] + struct.pack("<I", len(body)) + body[16:],
+            "name of tensor 0": body[:name0] + struct.pack("<H", 0xFFFF) + body[name0 + 2:],
+            "data of tensor 'head.fc.bias'": body[:-8],  # last tensor in name order
+            "name of tensor 0 is not UTF-8": body[:name0 + 2] + b"\xff" + body[name0 + 3:],
+        }
+        for field, bad in crafted.items():
+            path.write_bytes(bad + struct.pack("<I", zlib.crc32(bad)))
+            with pytest.raises(CheckpointError, match=re.escape(field)):
+                load_checkpoint(path)
 
     def test_load_into_mismatched_model_lists_difference(self, tmp_path, rng):
         from rornet.arch import ArchConfig, build

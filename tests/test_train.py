@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rornet import tensor as T
-from rornet.arch import ArchConfig, build
-from rornet.data import synthetic_dataset
+from rornet.arch import ArchConfig, build, config_from_text
+from rornet.data import load_checkpoint, synthetic_dataset
 from rornet.exceptions import ConfigError, NumericError
 from rornet.train import (CIFAR_MILESTONES, SVHN_MILESTONES, MetricsLog,
                           MetricsRow, TrainConfig, augment, evaluate, hflip,
@@ -249,6 +249,10 @@ class TestTrainLoop:
         assert (tmp_path / "checkpoint.bin").exists()
         log = MetricsLog.from_csv(tmp_path / "metrics.csv")
         assert [r.epoch for r in log.rows] == [0, 1]
+        _, config_text = load_checkpoint(tmp_path / "checkpoint.bin")
+        # the config tiny_run built the model from
+        assert config_from_text(config_text) == ArchConfig(
+            blocks_per_group=(1, 1, 1), levels_m=3, num_classes=4)
 
     def test_csv_round_trip(self, tmp_path):
         log = MetricsLog()
