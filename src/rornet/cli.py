@@ -192,23 +192,35 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_datasets(entry: dict):
-    """Train and test splits for a manifest dataset entry, plus the entry
-    with their digests filled in."""
-    from .data import load_cifar, synthetic_dataset
+def _load_split(entry: dict, split: str):
+    """One split ("train" or "test") of a manifest dataset entry."""
+    from .data import load_cifar_split, synthetic_dataset
     from .exceptions import DataError
 
     if entry["kind"] == "synthetic":
         seed, classes, samples = entry["seed"], entry["classes"], entry["samples"]
-        train_set = synthetic_dataset(seed, classes, samples, entry["difficulty"], split="train")
-        test_set = synthetic_dataset(seed + 1, classes, max(classes, samples // 5),
-                                     entry["difficulty"], split="test")
-    elif not entry.get("path"):
+        if split == "test":
+            seed, samples = seed + 1, max(classes, samples // 5)
+        return synthetic_dataset(seed, classes, samples, entry["difficulty"], split=split)
+    if not entry.get("path"):
         raise DataError("no dataset: pass --synthetic or --data DIR")
-    else:
-        train_set, test_set = load_cifar(entry["path"], entry["variant"])
-    digests = {"train": train_set.digest, "test": test_set.digest}
-    return train_set, test_set, {**entry, "digests": digests}
+    return load_cifar_split(entry["path"], entry["variant"], split)
+
+
+def _read_manifest(path: Path) -> dict:
+    """A run directory's manifest, checked for the blocks ``rornet eval`` reads."""
+    from .exceptions import DataError
+
+    if not path.exists():
+        raise DataError(f"no manifest at {path}")
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON ({e})") from e
+    for key in ("dataset", "normalization", "train"):
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
+            raise DataError(f"{path}: missing or malformed {key!r} block")
+    return manifest
 
 
 def cmd_train(args) -> int:
@@ -226,7 +238,8 @@ def cmd_train(args) -> int:
                  "classes": cfg.num_classes, "difficulty": args.difficulty}
     else:
         entry = {"kind": args.dataset, "path": args.data, "variant": args.dataset}
-    train_set, test_set, data_entry = _load_datasets(entry)
+    train_set, test_set = _load_split(entry, "train"), _load_split(entry, "test")
+    data_entry = {**entry, "digests": {"train": train_set.digest, "test": test_set.digest}}
     train_set, test_set, stats = normalize_dataset(train_set, test_set)
 
     file_train = _split_config_file(args.config)[1] if args.config else {}
@@ -277,15 +290,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .arch import build, config_from_text
     from .data import load_checkpoint
-    from .exceptions import DataError
     from .train import evaluate, standardize
     from .stochastic_depth import survival_schedule
 
     run_dir = Path(args.run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_manifest(run_dir / "manifest.json")
     ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "checkpoint.bin"
     state, config_text = load_checkpoint(ckpt)
 
@@ -295,7 +304,7 @@ def cmd_eval(args) -> int:
     entry = manifest["dataset"]
     if args.data:
         entry = {**entry, "path": args.data}
-    _, test_set, _ = _load_datasets(entry)
+    test_set = _load_split(entry, "test")
     test_set = standardize(test_set, manifest["normalization"])
 
     schedule = None

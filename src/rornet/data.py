@@ -70,28 +70,27 @@ def _parse_cifar_bytes(raw: bytes, variant: str, source: str) -> tuple[np.ndarra
 
 def load_cifar(path, variant: str = "c10") -> tuple[Dataset, Dataset]:
     """Load the binary shards under ``path`` into (train, test) datasets."""
+    return load_cifar_split(path, variant, "train"), load_cifar_split(path, variant, "test")
+
+
+def load_cifar_split(path, variant: str, split: str) -> Dataset:
+    """Load one split ("train" or "test") from the binary shards under ``path``."""
     if variant not in ("c10", "c100"):
         raise DataError(f"variant must be 'c10' or 'c100', got {variant!r}")
-    root = Path(path)
-    train_files = C10_TRAIN_FILES if variant == "c10" else C100_TRAIN_FILES
-    test_files = C10_TEST_FILES if variant == "c10" else C100_TEST_FILES
-    classes = 10 if variant == "c10" else 100
-
-    def load_split(files: list[str], split: str) -> Dataset:
-        images, labels, digest = [], [], hashlib.sha256()
-        for fname in files:
-            fpath = root / fname
-            if not fpath.exists():
-                raise DataError(f"missing dataset file: {fpath}")
-            raw = fpath.read_bytes()
-            digest.update(raw)
-            im, lb = _parse_cifar_bytes(raw, variant, str(fpath))
-            images.append(im)
-            labels.append(lb)
-        return Dataset(np.concatenate(images), np.concatenate(labels),
-                       classes, split, digest.hexdigest())
-
-    return load_split(train_files, "train"), load_split(test_files, "test")
+    files = {("c10", "train"): C10_TRAIN_FILES, ("c10", "test"): C10_TEST_FILES,
+             ("c100", "train"): C100_TRAIN_FILES, ("c100", "test"): C100_TEST_FILES}[variant, split]
+    images, labels, digest = [], [], hashlib.sha256()
+    for fname in files:
+        fpath = Path(path) / fname
+        if not fpath.exists():
+            raise DataError(f"missing dataset file: {fpath}")
+        raw = fpath.read_bytes()
+        digest.update(raw)
+        im, lb = _parse_cifar_bytes(raw, variant, str(fpath))
+        images.append(im)
+        labels.append(lb)
+    return Dataset(np.concatenate(images), np.concatenate(labels),
+                   10 if variant == "c10" else 100, split, digest.hexdigest())
 
 
 def synthetic_dataset(seed: int, classes: int = 10, n: int = 500,

@@ -8,6 +8,7 @@ doubles as the error-reporting locus when execution fails.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -163,7 +164,8 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     ``gates`` (train mode) drops residual branches for this mini-batch;
     ``schedule`` (eval mode) scales each residual branch by its survival
     probability. Level shortcuts are never gated or scaled. When ``capture``
-    names node ids, returns ``(logits, {id: ndarray})`` instead.
+    names node ids, returns ``(logits, {id: ndarray})`` instead. Eval mode
+    records no tape, so each activation is freed after its last consumer.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -192,18 +194,26 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
         dropped = {l + 1 for l, g in enumerate(gates.gates) if g == 0}
     active = _active_ids(graph, dropped)
 
+    # each value is dropped after its last active consumer runs
+    last_use = {i: node.id for node in graph.nodes if node.id in active for i in node.inputs}
+    last_use.pop(graph.output_id, None)
+
     capture = set(capture or ())
     captured: dict[str, np.ndarray] = {}
     vals: dict[str, T.Tensor] = {}
-    for node in graph.nodes:
-        if node.id not in active:
-            continue
-        try:
-            vals[node.id] = _eval_node(graph, node, vals, xt, mode, dropped, schedule)
-        except NumericError as e:
-            raise NumericError(f"{e} (at node {node.id!r})") from e
-        if node.id in capture:
-            captured[node.id] = vals[node.id].data
+    with T.no_tape() if mode == "eval" else contextlib.nullcontext():
+        for node in graph.nodes:
+            if node.id not in active:
+                continue
+            try:
+                vals[node.id] = _eval_node(graph, node, vals, xt, mode, dropped, schedule)
+            except NumericError as e:
+                raise NumericError(f"{e} (at node {node.id!r})") from e
+            if node.id in capture:
+                captured[node.id] = vals[node.id].data
+            for i in node.inputs:
+                if last_use.get(i) == node.id:
+                    vals.pop(i, None)
     out = vals[graph.output_id]
     if capture:
         return out, captured

@@ -3,7 +3,8 @@
 Every network primitive lives here: convolution, batch normalization, ReLU,
 n-ary addition, pooling, the affine classifier head and the classification
 loss. Ops compute eagerly with numpy and record a tape node on the output
-so :func:`backward` can sweep the graph in reverse topological order.
+so :func:`backward` can sweep the graph in reverse topological order;
+inside :func:`no_tape` they record nothing.
 
 Conventions:
   * image layout is N x C x H x W at every op boundary; a stride-1
@@ -19,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "backward",
     "he_init",
     "enable_buffer_reuse",
+    "no_tape",
 ]
 
 _buffer_reuse_enabled = False
@@ -53,9 +56,9 @@ def enable_buffer_reuse() -> bool:
     By default glibc serves multi-megabyte allocations with fresh mmap
     regions and unmaps them on free, so each call faults in its buffers'
     pages again. Keeping them on the heap saves those faults, which matters
-    most for evaluation: it allocates eval-batch-sized activations for every
-    node. Sets process-wide glibc ``mallopt`` knobs. Idempotent; returns
-    False when the allocator does not support the knobs (non-glibc).
+    most for checkpoint save and load of a large model. Sets process-wide
+    glibc ``mallopt`` knobs. Idempotent; returns False when the allocator
+    does not support the knobs (non-glibc).
     """
     global _buffer_reuse_enabled
     if _buffer_reuse_enabled:
@@ -70,6 +73,21 @@ def enable_buffer_reuse() -> bool:
         return False
     _buffer_reuse_enabled = bool(ok)
     return _buffer_reuse_enabled
+
+
+_taping = True
+
+
+@contextmanager
+def no_tape():
+    """Record no tape inside the block: op outputs get no parents or vjp, so
+    each intermediate array is freed once nothing else refers to it."""
+    global _taping
+    prev, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = prev
 
 
 class Tensor:
@@ -158,7 +176,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     _check_finite(data, op)
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_taping and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
@@ -610,23 +628,28 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # grads whose buffer this sweep allocated
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
             if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+                node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             pg = pg.reshape(parent.data.shape)
-            if id(parent) in grads:
-                grads[id(parent)] += pg
+            key = id(parent)
+            if key not in grads:
+                grads[key] = pg
+            elif key in owned:
+                grads[key] += pg
             else:
-                # own the buffer: vjps may hand the same array to several parents
-                grads[id(parent)] = np.array(pg)
+                # a vjp's array may be shared with other parents or read-only
+                grads[key] = grads[key] + pg
+                owned.add(key)
 
 
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,

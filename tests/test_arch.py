@@ -6,14 +6,16 @@ arithmetic (conv = cin*cout*k*k, BN affine = 2*channels, fc = feat*classes
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
                          config_to_text, resolve_config)
-from rornet.exceptions import ConfigError
+from rornet.exceptions import ConfigError, NumericError
 from rornet.graph import forward
+from rornet.tensor import backward, softmax_cross_entropy
 
 
 def zero_level_params(graph):
@@ -335,6 +337,43 @@ class TestBuild:
             st.running_var = val.var(axis=(0, 2, 3))
         y_eval = forward(g, x, mode="eval").data
         np.testing.assert_allclose(y_eval, y_train.data, atol=1e-10)
+
+
+class TestTapeFreeEval:
+    def test_eval_output_has_no_tape(self, rng):
+        g = build(ArchConfig(depth=14, levels_m=3))
+        x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+        out = forward(g, x, mode="eval")
+        assert out.requires_grad is False
+        assert out._parents == ()
+        assert forward(g, x, mode="train").requires_grad
+
+    def test_eval_frees_activations_after_last_use(self, rng):
+        # RoR-3-56 has 149 first-group activations; a taped forward keeps
+        # them all alive, a tape-free one only those still to be consumed
+        g = build(ArchConfig(depth=56, levels_m=3))
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        activation = 8 * 16 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            forward(g, x, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * activation
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_eval_restores_taping(self, rng):
+        g = build(ArchConfig(depth=14, levels_m=3))
+        x = rng.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        state = next(iter(g.bn.values()))
+        saved = state.running_var
+        state.running_var = np.full_like(saved, -1e9)
+        with pytest.raises(NumericError):
+            forward(g, x, mode="eval")
+        state.running_var = saved
+        backward(softmax_cross_entropy(forward(g, x, mode="train"), np.arange(4) % 10))
+        assert all(p.tensor.grad is not None for p in g.parameters())
 
 
 class TestConfigText:

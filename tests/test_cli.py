@@ -159,6 +159,42 @@ class TestTrainEvalCommands:
         log = MetricsLog.from_csv(run / "metrics.csv")
         assert printed == pytest.approx(log.rows[-1].test_err, abs=5e-5)
 
+    def test_eval_reads_only_the_test_split(self, capsys, tmp_path):
+        from rornet.data import C10_TEST_FILES, C10_TRAIN_FILES
+        from rornet.train import MetricsLog
+        from test_data import write_c10_fixture
+        recs = [(k, lambda c, r, col, k=k: (k * 29 + c * 5 + r + col * 3) % 256)
+                for k in range(8)]
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        for name in C10_TRAIN_FILES + C10_TEST_FILES:
+            write_c10_fixture(shards / name, recs)
+        run = tmp_path / "run"
+        code = main(["train", "--data", str(shards), "--blocks", "1,1,1", "--levels", "2",
+                     "--epochs", "1", "--batch-size", "8", "--out-dir", str(run)])
+        assert code == 0
+        for name in C10_TRAIN_FILES:
+            (shards / name).unlink()
+        code, out, _ = run_cli(capsys, "eval", "--run-dir", str(run))
+        assert code == 0
+        printed = float(out.split("test_err")[1].split("%")[0])
+        log = MetricsLog.from_csv(run / "metrics.csv")
+        assert printed == pytest.approx(log.rows[-1].test_err, abs=5e-5)
+
+    @pytest.mark.parametrize("damage,named", [
+        (lambda m: "{", "not valid JSON"),
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "normalization"}),
+         "'normalization'"),
+    ])
+    def test_malformed_manifest_is_data_error(self, capsys, tmp_path, run_dir, damage, named):
+        import shutil
+        run = shutil.copytree(run_dir, tmp_path / "run")
+        manifest = run / "manifest.json"
+        manifest.write_text(damage(json.loads(manifest.read_text())))
+        code, _, err = run_cli(capsys, "eval", "--run-dir", str(run))
+        assert code == 3
+        assert str(manifest) in err and named in err
+
     def test_eval_missing_run_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--run-dir", str(tmp_path / "nope"))
         assert code == 3
