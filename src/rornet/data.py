@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -132,28 +133,37 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -> None:
-    """Write named tensors plus a config echo; trailing CRC32 over everything."""
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<I", _VERSION)
-    config_bytes = config_text.encode()
-    buf += struct.pack("<I", len(config_bytes))
-    buf += config_bytes
-    names = sorted(state)
-    buf += struct.pack("<I", len(names))
-    for name in names:
-        arr = np.asarray(state[name])
-        if arr.dtype not in _DTYPE_CODES:
-            arr = arr.astype(np.float32)
-        nb = name.encode()
-        buf += struct.pack("<H", len(nb))
-        buf += nb
-        buf += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<I", dim)
-        buf += np.ascontiguousarray(arr, dtype=_DTYPES[_DTYPE_CODES[arr.dtype]]).tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+    """Write named tensors plus a config echo; trailing CRC32 over everything.
+
+    Streams to ``<path>.tmp`` in the same directory, then renames it over
+    ``path``, so a failed or interrupted write leaves an earlier file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    crc = 0
+    try:
+        with open(tmp, "wb") as f:
+            def put(chunk) -> None:
+                nonlocal crc
+                crc = zlib.crc32(chunk, crc)
+                f.write(chunk)
+
+            config_bytes = config_text.encode()
+            put(_MAGIC + struct.pack("<II", _VERSION, len(config_bytes)) + config_bytes)
+            names = sorted(state)
+            put(struct.pack("<I", len(names)))
+            for name in names:
+                arr = np.asarray(state[name])
+                if arr.dtype not in _DTYPE_CODES:
+                    arr = arr.astype(np.float32)
+                nb, code = name.encode(), _DTYPE_CODES[arr.dtype]
+                put(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
+                put(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)
+            f.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
@@ -165,12 +175,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     raw = Path(path).read_bytes()
     if len(raw) < len(_MAGIC) + 12:
         raise VersionError(f"{path}: too short to be a checkpoint")
-    body, stored = raw[:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(body) != stored:
+    view, stored = memoryview(raw)[:-4], struct.unpack("<I", raw[-4:])[0]
+    if zlib.crc32(view) != stored:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
-    if body[:len(_MAGIC)] != _MAGIC:
+    if raw[:len(_MAGIC)] != _MAGIC:
         raise VersionError(f"{path}: bad magic, not a checkpoint file")
-    view = memoryview(body)
     off = len(_MAGIC)
 
     def fault(what: str, tensor, problem: str) -> CheckpointError:
@@ -179,7 +188,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
 
     def take(size: int, what: str, tensor=None) -> memoryview:
         nonlocal off
-        if off + size > len(body):
+        if off + size > len(view):
             raise fault(what, tensor, "runs past the end of the file")
         off += size
         return view[off - size:off]

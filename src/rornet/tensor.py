@@ -376,10 +376,13 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
     """Channel-wise batch normalization with affine transform.
 
     Train mode normalizes by batch statistics and folds them into the running
-    averages; eval mode normalizes by the stored running statistics. The
-    running variance uses the same biased estimator as normalization, so
-    freezing the running stats to a batch's statistics reproduces that
-    batch's train-mode output exactly.
+    averages; eval mode normalizes by the stored running statistics, folded
+    into one per-channel affine ``x * a + b``. The running variance uses the
+    same biased estimator as normalization, so freezing the running stats to
+    a batch's statistics reproduces that batch's train-mode output to
+    rounding. Reductions run over an (N, C, H*W) view, along H*W first. The
+    tape keeps only the per-channel mean and inverse std: the backward
+    rebuilds the normalized input from ``x``.
     """
     x = _as_tensor(x)
     if mode not in ("train", "eval"):
@@ -391,49 +394,50 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
         raise ConfigError(f"batch_norm channel mismatch: input has {c}, state has {state.channels}")
     gamma, beta = state.gamma.tensor, state.beta.tensor
     m = n * h * w
-    axes = (0, 2, 3)
+
+    def centered() -> np.ndarray:
+        return x.data.reshape(n, c, h * w) - mean[:, None]
+
+    def per_channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ncs,ncs->nc", a, b).sum(axis=0)
 
     if mode == "train":
         if m < 2:
             raise NumericError("batch_norm in train mode needs N*H*W >= 2 (variance undefined)")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.data.reshape(n, c, h * w).sum(axis=2).sum(axis=0) / m
+        out = centered()
+        var = per_channel_dot(out, out) / m
         mom = state.momentum
         state.running_mean = ((1.0 - mom) * state.running_mean + mom * mean).astype(x.dtype)
         state.running_var = ((1.0 - mom) * state.running_var + mom * var).astype(x.dtype)
+        inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        out *= (gamma.data * inv_std)[:, None]
+        out += beta.data[:, None]
     else:
         mean = state.running_mean
-        var = state.running_var
+        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        a = gamma.data * inv_std
+        out = x.data.reshape(n, c, h * w) * a[:, None]
+        out += (beta.data - mean * a)[:, None]
 
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    def vjp(g: np.ndarray):
+        g = g.reshape(n, c, h * w)
+        xc = centered()  # xhat / inv_std
+        gbeta = g.sum(axis=2).sum(axis=0)
+        ggamma = per_channel_dot(g, xc) * inv_std
+        gx = None
+        if x.requires_grad and mode == "eval":
+            gx = g * (gamma.data * inv_std)[:, None]
+        elif x.requires_grad:
+            # gx = (gamma * inv_std / m) * (m * g - gbeta - xhat * ggamma), in xc's buffer
+            xc *= (ggamma * inv_std / m)[:, None]
+            xc += gbeta[:, None] / m
+            np.subtract(g, xc, out=xc)
+            xc *= (gamma.data * inv_std)[:, None]
+            gx = xc
+        return gx, ggamma, gbeta
 
-    if mode == "train":
-        def vjp(g: np.ndarray):
-            gxh = g * gamma.data[None, :, None, None]
-            gx = None
-            if x.requires_grad:
-                sum_gxh = gxh.sum(axis=axes)
-                sum_gxh_xhat = (gxh * xhat).sum(axis=axes)
-                gx = (inv_std[None, :, None, None] / m) * (
-                    m * gxh
-                    - sum_gxh[None, :, None, None]
-                    - xhat * sum_gxh_xhat[None, :, None, None]
-                )
-            ggamma = (g * xhat).sum(axis=axes)
-            gbeta = g.sum(axis=axes)
-            return gx, ggamma, gbeta
-    else:
-        def vjp(g: np.ndarray):
-            gx = None
-            if x.requires_grad:
-                gx = g * (gamma.data * inv_std)[None, :, None, None]
-            ggamma = (g * xhat).sum(axis=axes)
-            gbeta = g.sum(axis=axes)
-            return gx, ggamma, gbeta
-
-    return _make(out, "batch_norm", (x, gamma, beta), vjp)
+    return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -118,11 +118,17 @@ def sgd_step(params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0
         v <- mu * v + (g + lambda * w)
         w <- w - lr * (g + lambda * w + mu * v)
 
-    Momentum buffers persist on the parameters across steps.
+    Momentum buffers persist on the parameters across steps. Every gradient
+    is checked before any update, so a missing or non-finite one raises
+    :class:`NumericError` and leaves every parameter and buffer untouched.
     """
+    params = list(params)
     for p in params:
         if p.tensor.grad is None:
             raise NumericError(f"missing gradient for parameter {p.name!r}")
+        if not np.isfinite(p.tensor.grad).all():
+            raise NumericError(f"non-finite gradient for parameter {p.name!r} in backward")
+    for p in params:
         g = p.tensor.grad
         if weight_decay:
             g = g + weight_decay * p.data

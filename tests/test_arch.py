@@ -376,6 +376,27 @@ class TestTapeFreeEval:
         assert all(p.tensor.grad is not None for p in g.parameters())
 
 
+class TestTrainTape:
+    def test_tape_holds_only_node_outputs(self, rng):
+        # every taped op's vjp rebuilds what it needs from its inputs, so a
+        # train forward allocates nothing beyond the node outputs themselves
+        g = build(ArchConfig(depth=20, levels_m=3))
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        ids = [node.id for node in g.nodes if node.op != "input"]
+        tracemalloc.start()
+        try:
+            out, caps = forward(g, x, mode="train", capture=ids)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        buffers = {}
+        for arr in caps.values():
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+        assert kept <= 1.02 * sum(buffers.values())
+
 class TestConfigText:
     def test_round_trip(self):
         cfg = ArchConfig(depth=58, width_k=4, levels_m=3, block_order="pre_act",

@@ -1,9 +1,15 @@
 """Dataset parsing against hand-built fixtures, synthetic data properties,
 and checkpoint container round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rornet
 from rornet.data import (Dataset, load_cifar, load_checkpoint, save_checkpoint,
                          synthetic_dataset)
 from rornet.exceptions import (CheckpointError, ChecksumError, DataError,
@@ -222,6 +228,33 @@ class TestCheckpoint:
             path.write_bytes(bad + struct.pack("<I", zlib.crc32(bad)))
             with pytest.raises(CheckpointError, match=re.escape(field)):
                 load_checkpoint(path)
+
+    def test_failed_overwrite_keeps_the_old_file(self, tmp_path, rng):
+        # the writer's process may not grow a file past half a checkpoint,
+        # so overwriting a good checkpoint fails part way through
+        path = tmp_path / "ckpt.bin"
+        good = {"w": rng.normal(size=(64, 1024)).astype(np.float32)}
+        save_checkpoint(path, good, "depth=20\n")
+        limit = path.stat().st_size // 2
+        script = (
+            "import resource, signal, sys\n"
+            "import numpy as np\n"
+            "from rornet.data import save_checkpoint\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "try:\n"
+            "    save_checkpoint(sys.argv[1], {'w': np.zeros((64, 1024), np.float32)})\n"
+            "except OSError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+        src = str(Path(rornet.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded, cfg = load_checkpoint(path)
+        assert cfg == "depth=20\n"
+        np.testing.assert_array_equal(loaded["w"], good["w"])
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_load_into_mismatched_model_lists_difference(self, tmp_path, rng):
         from rornet.arch import ArchConfig, build

@@ -2,11 +2,12 @@
 taped gradients against central finite differences at float64."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import central_diff, check_gradient, relative_errors
+from conftest import central_diff, check_gradient, relative_errors, weighted_sum
 from rornet import tensor as T
 from rornet.exceptions import ConfigError, NumericError
 
@@ -148,6 +149,35 @@ class TestBatchNorm:
         err = check_gradient(op, [x, state.gamma.data.copy(), state.beta.data.copy()])
         assert err < 1e-4
 
+
+    def test_float32_matches_float64(self, rng):
+        # a large mean over a small spread: a one-pass E[x^2] - E[x]^2
+        # variance loses most of its float32 digits here
+        x = rng.normal(4.0, 0.05, size=(64, 16, 32, 32)).astype(np.float32)
+        probe = rng.normal(size=x.shape)
+        results = {}
+        for dtype in (np.float32, np.float64):
+            state = T.BatchNormState("bn", 16, dtype=dtype)
+            state.gamma.tensor.data = np.linspace(0.5, 1.5, 16, dtype=dtype)
+            xt = T.Tensor(x.astype(dtype), requires_grad=True)
+            out = T.batch_norm(xt, state, "train")
+            T.backward(weighted_sum(out, probe))
+            results[dtype] = out.data, xt.grad, state.gamma.tensor.grad
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert got.dtype == np.float32
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-4
+
+    def test_train_tape_keeps_only_the_output(self, rng):
+        x = T.Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        state = T.BatchNormState("bn", 16)
+        tracemalloc.start()
+        try:
+            out = T.batch_norm(x, state, "train")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._vjp is not None
+        assert kept <= 1.05 * x.data.nbytes
 
 class TestRelu:
     def test_definition(self):

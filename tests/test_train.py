@@ -93,6 +93,18 @@ class TestSgdStep:
         with pytest.raises(NumericError, match="w"):
             sgd_step([p], lr=0.1)
 
+    def test_non_finite_grad_rejected_before_any_update(self):
+        a, b = make_param("a", [1.0, 2.0]), make_param("b", [3.0])
+        a.tensor.grad = np.array([0.5, -1.0])
+        a.momentum_buffer = np.array([0.1, 0.2])
+        b.tensor.grad = np.array([np.nan])
+        with pytest.raises(NumericError, match="'b' in backward"):
+            sgd_step([a, b], lr=0.1, momentum=0.9, weight_decay=1e-4)
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(a.momentum_buffer, [0.1, 0.2])
+        np.testing.assert_array_equal(b.data, [3.0])
+        assert b.momentum_buffer is None
+
     def test_momentum_buffer_persists(self):
         p = make_param("w", [1.0])
         p.tensor.grad = np.array([1.0])
