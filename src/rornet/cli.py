@@ -112,10 +112,6 @@ def _arch_config(args):
     return cfg
 
 
-def _thread_setting() -> str:
-    return os.environ.get("OMP_NUM_THREADS", "default")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -227,6 +223,7 @@ def cmd_train(args) -> int:
     from dataclasses import asdict
 
     from .arch import build
+    from .tensor import worker_count
     from .train import TrainConfig, normalize_dataset, train
 
     cfg = _arch_config(args)
@@ -272,7 +269,7 @@ def cmd_train(args) -> int:
         "arch": asdict(cfg),
         "train": asdict(tc),
         "seed": seed,
-        "threads": _thread_setting(),
+        "threads": worker_count(),
         "dataset": data_entry,
         "normalization": stats,
     }

@@ -9,8 +9,9 @@ inside :func:`no_tape` they record nothing.
 Conventions:
   * image layout is N x C x H x W at every op boundary; a stride-1
     convolution works on zero-padded NHWC rows inside the op (one GEMM per
-    kernel tap, see :func:`_conv2d_shift`), other strides and max pooling
-    unfold windows with im2col,
+    kernel tap, see :func:`_conv2d_shift`) split across :func:`worker_count`
+    threads of one BLAS thread each, so its results do not depend on the
+    thread count; other strides and max pooling unfold windows with im2col,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite and raises
@@ -19,8 +20,12 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,11 +50,10 @@ __all__ = [
     "he_init",
     "enable_buffer_reuse",
     "no_tape",
+    "worker_count",
 ]
 
-_buffer_reuse_enabled = False
-
-
+@lru_cache(maxsize=None)
 def enable_buffer_reuse() -> bool:
     """Keep large numpy buffers on the heap so repeated calls reuse pages.
 
@@ -60,19 +64,12 @@ def enable_buffer_reuse() -> bool:
     glibc ``mallopt`` knobs. Idempotent; returns False when the allocator
     does not support the knobs (non-glibc).
     """
-    global _buffer_reuse_enabled
-    if _buffer_reuse_enabled:
-        return True
     try:
-        import ctypes
-
         libc = ctypes.CDLL("libc.so.6")
         m_mmap_max, m_trim_threshold = -4, -1
-        ok = libc.mallopt(m_mmap_max, 0) == 1 and libc.mallopt(m_trim_threshold, -1) == 1
+        return libc.mallopt(m_mmap_max, 0) == 1 and libc.mallopt(m_trim_threshold, -1) == 1
     except OSError:
         return False
-    _buffer_reuse_enabled = bool(ok)
-    return _buffer_reuse_enabled
 
 
 _taping = True
@@ -246,6 +243,50 @@ def _pad_flat(x: np.ndarray, pad: int, dtype, channel_major: bool = False) -> np
 
 
 _TAP_BLOCK = 2048  # output rows per block: a block's partial sums stay in cache
+_pool: Optional[ThreadPoolExecutor] = None
+
+
+@lru_cache(maxsize=None)
+def _blas_threads_local():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({ln.split()[-1] for ln in maps if "openblas" in ln.rsplit("/", 1)[-1]})
+        setter = next((lib.openblas_set_num_threads_local for lib in map(ctypes.CDLL, libs)
+                       if hasattr(lib, "openblas_set_num_threads_local")), None)
+    except OSError:
+        return None
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@lru_cache(maxsize=None)
+def worker_count() -> int:
+    """Threads a stride-1 convolution splits its GEMMs across: the BLAS thread
+    setting (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``) up to the usable
+    CPUs, else those CPUs; 1 without OpenBLAS. Workers run one BLAS thread each,
+    a setting a pthreads OpenBLAS applies to the whole process once the pool starts."""
+    cpus = len(os.sched_getaffinity(0))
+    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    wanted = int(setting) if setting.isdigit() else 0  # 0 or unset means every CPU, as in OpenBLAS
+    return min(wanted or cpus, cpus) if _blas_threads_local() else 1
+
+
+def _parallel(fn: Callable, items: Sequence, span: int) -> None:
+    """Run ``fn`` over contiguous runs of ``items``, one per pool worker, when each
+    worker gets a full block of the ``span`` GEMM rows, else ``fn(items)`` inline.
+    Waits for every run before re-raising the first failure: no worker outlives it."""
+    global _pool
+    n = min(len(items), worker_count()) if span // _TAP_BLOCK >= worker_count() else 1
+    if n == 1:
+        return fn(items)
+    if _pool is None:
+        _pool = ThreadPoolExecutor(worker_count(), initializer=_blas_threads_local(), initargs=(1,))
+    futures = [_pool.submit(fn, items[len(items) * i // n:len(items) * (i + 1) // n]) for i in range(n)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _tap_gemm(src: np.ndarray, mats: Sequence[np.ndarray], offsets: Sequence[int],
@@ -254,16 +295,21 @@ def _tap_gemm(src: np.ndarray, mats: Sequence[np.ndarray], offsets: Sequence[int
 
     Returns ``rows`` output rows of which only the first ``span`` are
     computed; the rest are left uninitialised for the caller to crop away.
+    Workers take contiguous runs of blocks; each block makes the same GEMM calls.
     """
     out = np.empty((rows, mats[0].shape[1]), dtype=src.dtype)
-    part = np.empty((min(_TAP_BLOCK, span), out.shape[1]), dtype=src.dtype)
-    for lo in range(0, span, _TAP_BLOCK):
-        hi = min(lo + _TAP_BLOCK, span)
-        acc = out[lo:hi]
-        np.matmul(src[lo + offsets[0]:hi + offsets[0]], mats[0], out=acc)
-        for off, m in zip(offsets[1:], mats[1:]):
-            np.matmul(src[lo + off:hi + off], m, out=part[:hi - lo])
-            acc += part[:hi - lo]
+
+    def run(blocks: range) -> None:
+        part = np.empty((min(_TAP_BLOCK, span), out.shape[1]), dtype=src.dtype)
+        for lo in blocks:
+            hi = min(lo + _TAP_BLOCK, span)
+            acc = out[lo:hi]
+            np.matmul(src[lo + offsets[0]:hi + offsets[0]], mats[0], out=acc)
+            for off, m in zip(offsets[1:], mats[1:]):
+                np.matmul(src[lo + off:hi + off], m, out=part[:hi - lo])
+                acc += part[:hi - lo]
+
+    _parallel(run, range(0, span, _TAP_BLOCK), span)
     return out
 
 
@@ -308,8 +354,12 @@ def _conv2d_shift(x: Tensor, weight: Tensor, pad: int) -> Tensor:
             xc = _pad_flat(x.data, pad, dtype, channel_major=True)
             gf = gbig[lead:lead + span]
             gw = np.empty((kh * kw, cin, cout), dtype=dtype)
-            for k, off in enumerate(offsets):
-                np.matmul(xc[:, off:off + span], gf, out=gw[k])
+
+            def run(ks: range) -> None:
+                for k in ks:
+                    np.matmul(xc[:, offsets[k]:offsets[k] + span], gf, out=gw[k])
+
+            _parallel(run, range(kh * kw), span)
             gw = np.ascontiguousarray(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
             del xc
         if x.requires_grad:

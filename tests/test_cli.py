@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import rornet
+from rornet import tensor as T
 from rornet.cli import main
 
 
@@ -122,6 +128,23 @@ class TestTrainEvalCommands:
         assert (run_dir / "metrics.csv").exists()
         assert (run_dir / "checkpoint.bin").exists()
         assert (run_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_manifest_records_the_worker_count(self, tmp_path, threads):
+        # a fresh process, so the thread setting is read before numpy loads;
+        # with no setting the manifest used to record "default"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(rornet.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = (["--threads", threads] if threads else []) + [
+            "train", "--synthetic", "--samples", "16", "--classes", "4", "--blocks", "1,1,1",
+            "--epochs", "1", "--batch-size", "8", "--out-dir", str(tmp_path)]
+        subprocess.run([sys.executable, "-m", "rornet.cli", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["threads"]
+        cpus = len(os.sched_getaffinity(0)) if T._blas_threads_local() else 1
+        assert recorded == (1 if threads else cpus)
 
     def test_manifest_contents(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())

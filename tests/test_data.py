@@ -170,6 +170,20 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded, cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_arrays_are_writable_and_bitwise_equal(self, tmp_path, rng):
+        state = self._state(rng)
+        state["scalar"] = np.float64(-0.0)
+        state["empty"] = np.zeros((0, 3), dtype=np.float32)
+        save_checkpoint(tmp_path / "w.bin", state)
+        loaded, _ = load_checkpoint(tmp_path / "w.bin")
+        for name, want in state.items():
+            got = loaded[name]
+            assert got.flags.writeable, name
+            assert got.dtype == want.dtype and got.shape == np.shape(want)
+            assert got.tobytes() == np.asarray(want).tobytes(), name
+        loaded["head.fc.bias"] += 1.0
+        np.testing.assert_array_equal(loaded["head.fc.bias"], state["head.fc.bias"] + 1.0)
+
     def test_values_and_dtypes_survive(self, tmp_path, rng):
         state = self._state(rng)
         save_checkpoint(tmp_path / "c.bin", state)

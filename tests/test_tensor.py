@@ -2,10 +2,14 @@
 taped gradients against central finite differences at float64."""
 
 import math
+import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff, check_gradient, relative_errors, weighted_sum
 from rornet import tensor as T
@@ -451,3 +455,109 @@ class TestDeterminism:
         o1, g1 = run()
         o2, g2 = run()
         assert (o1 == o2).all() and (g1 == g2).all()
+
+
+@contextmanager
+def workers(count):
+    """Run convolutions with ``count`` pool workers, even on a 1-CPU machine.
+
+    The pool started here is shut down on exit. The calling thread runs its
+    own GEMMs on one BLAS thread too, as the pool's workers do, so an inline
+    run and a split run make the same calls.
+    """
+    blas = T._blas_threads_local()
+    if blas is None:
+        pytest.skip("the worker pool needs numpy linked against OpenBLAS")
+    saved = T.worker_count, T._pool
+    T.worker_count, T._pool = (lambda: count), None
+    previous = blas(1)
+    try:
+        yield
+    finally:
+        if T._pool is not None:
+            T._pool.shutdown()
+        T.worker_count, T._pool = saved
+        blas(previous)
+
+
+def conv_and_grads(x, w, pad, g):
+    xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=1, padding=pad)
+    gx, gw = out._vjp(g.astype(x.dtype).reshape(out.shape))
+    return out.data, gx, gw
+
+
+class TestConvWorkerPool:
+    """Splitting the shift-GEMM work across workers changes no bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), cin=st.integers(1, 6), cout=st.integers(1, 6),
+           h=st.integers(1, 40), w=st.integers(1, 40), k=st.sampled_from([1, 3]),
+           pad=st.sampled_from([0, 1]), dtype=st.sampled_from([np.float32, np.float64]),
+           pool=st.sampled_from([2, 3]))
+    # spans just below, at and just above two blocks, and spans that are no
+    # multiple of a block; the forward span is the padded rows minus the
+    # largest tap offset, and grad-x spans every padded row
+    @example(n=1, cin=2, cout=3, h=65, w=63, k=1, pad=0, dtype=np.float32, pool=2)  # 4095
+    @example(n=4, cin=3, cout=2, h=32, w=32, k=1, pad=0, dtype=np.float64, pool=2)  # 4096
+    @example(n=17, cin=2, cout=5, h=241, w=1, k=1, pad=0, dtype=np.float32, pool=2)  # 4097
+    @example(n=1, cin=3, cout=4, h=241, w=15, k=3, pad=1, dtype=np.float32, pool=2)  # 4095, grad-x 4131
+    @example(n=1, cin=4, cout=3, h=683, w=4, k=3, pad=1, dtype=np.float64, pool=2)  # 4096, grad-x 4110
+    @example(n=1, cin=2, cout=6, h=100, w=39, k=3, pad=1, dtype=np.float32, pool=2)  # 4098, grad-x 4182
+    @example(n=4, cin=5, cout=4, h=30, w=30, k=3, pad=1, dtype=np.float32, pool=2)  # 4030, grad-x 4096
+    @example(n=1, cin=5, cout=2, h=63, w=61, k=3, pad=1, dtype=np.float64, pool=2)  # 3967, grad-x 4095
+    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float32, pool=2)  # 9518, grad-x 9600
+    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float64, pool=3)  # more workers than CPUs
+    def test_pool_matches_inline_bitwise(self, n, cin, cout, h, w, k, pad, dtype, pool):
+        if cin == cout:
+            cout += 1
+        if min(h, w) + 2 * pad < k:
+            h, w = h + k, w + k
+        r = np.random.default_rng(n * 1000 + cin * 100 + cout * 10 + h + w)
+        x = r.normal(size=(n, cin, h, w)).astype(dtype)
+        wt = r.normal(size=(cout, cin, k, k)).astype(dtype)
+        g = r.normal(size=n * cout * (h + 2 * pad - k + 1) * (w + 2 * pad - k + 1))
+        with workers(1):
+            inline = conv_and_grads(x, wt, pad, g)
+        with workers(pool):
+            split = conv_and_grads(x, wt, pad, g)
+        for a, b in zip(inline, split):
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_short_span_runs_inline(self):
+        # batch 2 at 8x8 is 200 padded rows, far below one block per worker
+        x = np.ones((2, 4, 8, 8), dtype=np.float32)
+        with workers(2):
+            conv_and_grads(x, np.ones((4, 4, 3, 3), dtype=np.float32), 1, np.ones(2 * 4 * 8 * 8))
+            assert T._pool is None
+
+    def test_failed_part_reaches_the_caller_after_every_part_ends(self):
+        finished = []
+
+        def part(blocks):
+            if 0 in blocks:
+                raise ValueError("part with block 0")
+            time.sleep(0.05)
+            finished.append(blocks)
+
+        with workers(2):
+            with pytest.raises(ValueError, match="block 0"):
+                T._parallel(part, range(4), 4 * T._TAP_BLOCK)
+            # the other part ran to its end before the exception came back
+            assert finished == [range(2, 4)]
+
+            def fail(blocks):
+                raise ValueError(f"part from {blocks[0]}")
+
+            with pytest.raises(ValueError, match="part from 0"):
+                T._parallel(fail, range(4), 4 * T._TAP_BLOCK)
+            # the pool still works
+            r = np.random.default_rng(5)
+            x, w = r.normal(size=(3, 4, 40, 40)), r.normal(size=(5, 4, 3, 3))
+            got = conv_and_grads(x, w, 1, np.ones(3 * 5 * 40 * 40))
+            assert T._pool is not None
+        with workers(1):
+            want = conv_and_grads(x, w, 1, np.ones(3 * 5 * 40 * 40))
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)

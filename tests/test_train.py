@@ -1,11 +1,16 @@
 """Learning-rate schedule, optimizer semantics, augmentation, normalization,
 evaluation, and small end-to-end training runs."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rornet
 from rornet import tensor as T
 from rornet.arch import ArchConfig, build, config_from_text
 from rornet.data import load_checkpoint, synthetic_dataset
@@ -280,3 +285,42 @@ class TestTrainLoop:
         log.append(MetricsRow(0, 1, 1, 1, 0.1, 0.0, 0))
         with pytest.raises(ConfigError):
             log.append(MetricsRow(2, 1, 1, 1, 0.1, 0.0, 0))
+
+
+STEP_SCRIPT = """
+import sys
+import numpy as np
+from rornet import tensor as T
+from rornet.arch import ArchConfig, build
+from rornet.graph import forward
+
+g = build(ArchConfig(blocks_per_group=(3, 3, 3), levels_m=3), seed=7)
+r = np.random.default_rng(3)
+x = r.normal(size=(16, 3, 32, 32)).astype(np.float32)
+logits = forward(g, x, mode="train")
+loss = T.softmax_cross_entropy(logits, r.integers(0, 10, size=16))
+T.backward(loss)
+out = {"loss": loss.data, "logits": logits.data}
+out.update({"grad:" + name: p.tensor.grad for name, p in g.params.items()})
+np.savez(sys.argv[1], **out)
+"""
+
+
+class TestThreadCount:
+    def test_train_step_is_bitwise_equal_at_one_and_two_blas_threads(self, tmp_path):
+        # one RoR-3-20 train step at batch 16; the stride-1 convolutions'
+        # weight gradients used to differ with the BLAS thread count
+        src = str(Path(rornet.__file__).resolve().parent.parent)
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            path = tmp_path / f"step{threads}.npz"
+            subprocess.run([sys.executable, "-c", STEP_SCRIPT, str(path)], env=env, check=True)
+            results.append(np.load(path))
+        one, two = results
+        assert len(one.files) == 2 + 65
+        assert sorted(one.files) == sorted(two.files)
+        for name in one.files:
+            assert np.array_equal(one[name], two[name]), name
