@@ -324,11 +324,16 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def cmd_plot(args) -> int:
+    from .exceptions import ConfigError, DataError
     from .train import MetricsLog
 
+    if args.window < 1:
+        raise ConfigError(f"--window must be at least 1, got {args.window}")
     series = []
     for path in args.csvs:
         log = MetricsLog.from_csv(path)
+        if not log.rows:
+            raise DataError(f"{path}: no metrics rows")
         xs = [r.epoch for r in log.rows]
         ys = _smooth([r.test_err for r in log.rows], args.window)
         series.append((Path(path).stem, xs, ys))

@@ -130,6 +130,7 @@ _MAGIC = b"RORCKPT\x00"
 _VERSION = 1
 _DTYPES = {0: "<f4", 1: "<f8"}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_CHUNK = 1 << 20  # bytes per read of the load's checksum pass
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -> None:
@@ -169,55 +170,64 @@ def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     """Read a checkpoint, validating magic, version and checksum first.
 
-    Every field read is bounds-checked; a malformed field raises
-    :class:`CheckpointError` naming it.
+    The checksum pass reads the file in fixed-size chunks; then each tensor
+    is read straight into its own array, so no whole-file buffer is held.
+    Every field read is bounds-checked against the file size; a malformed
+    field raises :class:`CheckpointError` naming it.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_MAGIC) + 12:
-        raise VersionError(f"{path}: too short to be a checkpoint")
-    view, stored = memoryview(raw)[:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(view) != stored:
-        raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
-    if raw[:len(_MAGIC)] != _MAGIC:
-        raise VersionError(f"{path}: bad magic, not a checkpoint file")
-    off = len(_MAGIC)
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size - 4  # the body, before the CRC
+        if end < len(_MAGIC) + 8:
+            raise VersionError(f"{path}: too short to be a checkpoint")
+        crc = 0
+        for start in range(0, end, _CHUNK):
+            crc = zlib.crc32(f.read(min(_CHUNK, end - start)), crc)
+        if crc != struct.unpack("<I", f.read(4))[0]:
+            raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
+        f.seek(0)
+        if f.read(len(_MAGIC)) != _MAGIC:
+            raise VersionError(f"{path}: bad magic, not a checkpoint file")
+        off = len(_MAGIC)
 
-    def fault(what: str, tensor, problem: str) -> CheckpointError:
-        owner = "" if tensor is None else f" of tensor {tensor!r}"
-        return CheckpointError(f"{path}: {what}{owner} {problem}")
+        def fault(what: str, tensor, problem: str) -> CheckpointError:
+            owner = "" if tensor is None else f" of tensor {tensor!r}"
+            return CheckpointError(f"{path}: {what}{owner} {problem}")
 
-    def take(size: int, what: str, tensor=None) -> memoryview:
-        nonlocal off
-        if off + size > len(view):
-            raise fault(what, tensor, "runs past the end of the file")
-        off += size
-        return view[off - size:off]
+        def claim(size: int, what: str, tensor=None) -> int:
+            nonlocal off
+            if off + size > end:
+                raise fault(what, tensor, "runs past the end of the file")
+            off += size
+            return size
 
-    def number(fmt: str, what: str, tensor=None):
-        vals = struct.unpack(fmt, take(struct.calcsize(fmt), what, tensor))
-        return vals if len(vals) > 1 else vals[0]
+        def number(fmt: str, what: str, tensor=None):
+            vals = struct.unpack(fmt, f.read(claim(struct.calcsize(fmt), what, tensor)))
+            return vals if len(vals) > 1 else vals[0]
 
-    def text(size: int, what: str, tensor=None) -> str:
-        try:
-            return bytes(take(size, what, tensor)).decode()
-        except UnicodeDecodeError:
-            raise fault(what, tensor, "is not UTF-8") from None
+        def text(size: int, what: str, tensor=None) -> str:
+            try:
+                return f.read(claim(size, what, tensor)).decode()
+            except UnicodeDecodeError:
+                raise fault(what, tensor, "is not UTF-8") from None
 
-    version = number("<I", "version")
-    if version != _VERSION:
-        raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    config_text = text(number("<I", "config length"), "config text")
-    count = number("<I", "tensor count")
-    state: dict[str, np.ndarray] = {}
-    for i in range(count):
-        name = text(number("<H", "name length", i), "name", i)
-        code, ndim = number("<BB", "dtype", name)
-        if code not in _DTYPES:
-            raise VersionError(f"{path}: unknown dtype code {code} for tensor {name!r}")
-        shape = tuple(number("<I", "shape", name) for _ in range(ndim))
-        dtype = np.dtype(_DTYPES[code])
-        data = take(math.prod(shape) * dtype.itemsize, "data", name)
-        if name in state:
-            raise StateNameError(f"{path}: duplicate tensor name {name!r}")
-        state[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        version = number("<I", "version")
+        if version != _VERSION:
+            raise VersionError(f"{path}: unsupported checkpoint version {version}")
+        config_text = text(number("<I", "config length"), "config text")
+        count = number("<I", "tensor count")
+        state: dict[str, np.ndarray] = {}
+        for i in range(count):
+            name = text(number("<H", "name length", i), "name", i)
+            code, ndim = number("<BB", "dtype", name)
+            if code not in _DTYPES:
+                raise VersionError(f"{path}: unknown dtype code {code} for tensor {name!r}")
+            shape = tuple(number("<I", "shape", name) for _ in range(ndim))
+            dtype = np.dtype(_DTYPES[code])
+            claim(math.prod(shape) * dtype.itemsize, "data", name)
+            arr = np.empty(shape, dtype=dtype)
+            if f.readinto(arr) != arr.nbytes:
+                raise fault("data", name, "was cut short while reading")
+            if name in state:
+                raise StateNameError(f"{path}: duplicate tensor name {name!r}")
+            state[name] = arr
     return state, config_text

@@ -7,11 +7,11 @@ so :func:`backward` can sweep the graph in reverse topological order;
 inside :func:`no_tape` they record nothing.
 
 Conventions:
-  * image layout is N x C x H x W at every op boundary; a stride-1
-    convolution works on zero-padded NHWC rows inside the op (one GEMM per
-    kernel tap, see :func:`_conv2d_shift`) split across :func:`worker_count`
-    threads of one BLAS thread each, so its results do not depend on the
-    thread count; other strides and max pooling unfold windows with im2col,
+  * image layout is N x C x H x W at every op boundary; a convolution of
+    any stride works on the zero-padded input's stride phases in NHWC rows
+    inside the op (one GEMM per kernel tap, see :func:`conv2d`) split across
+    :func:`worker_count` threads of one BLAS thread each, so its results do
+    not depend on the thread count,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite and raises
@@ -48,29 +48,9 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "he_init",
-    "enable_buffer_reuse",
     "no_tape",
     "worker_count",
 ]
-
-@lru_cache(maxsize=None)
-def enable_buffer_reuse() -> bool:
-    """Keep large numpy buffers on the heap so repeated calls reuse pages.
-
-    By default glibc serves multi-megabyte allocations with fresh mmap
-    regions and unmaps them on free, so each call faults in its buffers'
-    pages again. Keeping them on the heap saves those faults, which matters
-    most for checkpoint save and load of a large model. Sets process-wide
-    glibc ``mallopt`` knobs. Idempotent; returns False when the allocator
-    does not support the knobs (non-glibc).
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        m_mmap_max, m_trim_threshold = -4, -1
-        return libc.mallopt(m_mmap_max, 0) == 1 and libc.mallopt(m_trim_threshold, -1) == 1
-    except OSError:
-        return False
-
 
 _taping = True
 
@@ -181,65 +161,67 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# im2col machinery for convolution and max pooling
+# shift-GEMM machinery for convolution
 # ---------------------------------------------------------------------------
 
 def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-            fill: float = 0.0) -> np.ndarray:
-    """Unfold x (N,C,H,W) into sliding-window columns (N, C*kh*kw, OH*OW)."""
-    n, c, h, w = x.shape
-    oh = _out_extent(h, kh, stride, pad)
-    ow = _out_extent(w, kw, stride, pad)
-    if pad:
-        xp = np.full((n, c, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+def _phase_axis(a: int, stride: int, pad: int, size: int, extent: int) -> tuple[slice, slice]:
+    """Along one axis: the positions of phase ``a`` on a grid of ``extent``
+    that hold input pixels, and the input slice they hold. Phase position r
+    is padded pixel stride*r + a, that is input pixel stride*r + a - pad."""
+    lo = max(0, -((a - pad) // stride))
+    hi = max(lo, min(extent, -((a - pad - size) // stride)))
+    return slice(lo, hi), slice(stride * lo + a - pad, stride * hi + a - pad, stride)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
-            stride: int, pad: int) -> np.ndarray:
-    """Fold columns back onto the input grid, summing overlapping windows."""
-    n, c, h, w = x_shape
-    oh = _out_extent(h, kh, stride, pad)
-    ow = _out_extent(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad:pad + h, pad:pad + w].copy()
-    return xp
+def _phase_flat(x: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
+                grid: tuple[int, int], dtype, channel_major: bool = False) -> np.ndarray:
+    """Zero-pad x (N,C,H,W), split it into stride phases and flatten the
+    phase pixels to rows: (N*Hq*Wq, Ph*Pw*C), channels ordered (a, b, c).
 
-
-# ---------------------------------------------------------------------------
-# shift-GEMM convolution (stride 1)
-# ---------------------------------------------------------------------------
-
-def _pad_flat(x: np.ndarray, pad: int, dtype, channel_major: bool = False) -> np.ndarray:
-    """Zero-pad x (N,C,H,W) and flatten its pixels to rows: NHWC (N*Hp*Wp, C).
-
-    ``channel_major`` gives the transpose, (C, N*Hp*Wp), for the grad-w GEMMs,
-    which run faster with the long pixel axis contiguous on both operands.
+    Phase (a, b) holds padded pixels (stride*r + a, stride*c + b) on a
+    ``grid`` of (Hq, Wq); grid pixels past the padded input stay zero. At
+    stride 1 this is the zero-padded input in NHWC rows. ``channel_major``
+    gives the transpose, (Ph*Pw*C, N*Hq*Wq), for the grad-w GEMMs, which run
+    faster with the long pixel axis contiguous on both operands.
     """
     n, c, h, w = x.shape
+    (ph, pw), (hq, wq) = phases, grid
     if channel_major:
-        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-        return xp.reshape(c, -1)
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
-    xp[:, pad:pad + h, pad:pad + w, :] = x.transpose(0, 2, 3, 1)
-    return xp.reshape(-1, c)
+        xq = np.zeros((ph, pw, c, n, hq, wq), dtype=dtype)
+        src = x.transpose(1, 0, 2, 3)
+    else:
+        xq = np.zeros((n, hq, wq, ph, pw, c), dtype=dtype)
+        src = x.transpose(0, 2, 3, 1)
+    for a in range(ph):
+        rq, rx = _phase_axis(a, stride, pad, h, hq)
+        for b in range(pw):
+            cq, cx = _phase_axis(b, stride, pad, w, wq)
+            if channel_major:
+                xq[a, b, :, :, rq, cq] = src[:, :, rx, cx]
+            else:
+                xq[:, rq, cq, a, b] = src[:, rx, cx]
+    return xq.reshape(ph * pw * c, -1) if channel_major else xq.reshape(-1, ph * pw * c)
+
+
+def _unphase(flat: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
+             grid: tuple[int, int], shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_phase_flat`: phase rows back onto the (N, C, H, W)
+    input grid, padding dropped. Pixels no phase holds are zero; at stride 1
+    every pixel is held."""
+    n, c, h, w = shape
+    (ph, pw), (hq, wq) = phases, grid
+    gq = flat.reshape(n, hq, wq, ph, pw, c)
+    out = (np.empty if stride == 1 else np.zeros)(shape, dtype=flat.dtype)
+    for a in range(ph):
+        rq, rx = _phase_axis(a, stride, pad, h, hq)
+        for b in range(pw):
+            cq, cx = _phase_axis(b, stride, pad, w, wq)
+            out[:, :, rx, cx] = gq[:, rq, cq, a, b].transpose(0, 3, 1, 2)
+    return out
 
 
 _TAP_BLOCK = 2048  # output rows per block: a block's partial sums stay in cache
@@ -313,76 +295,29 @@ def _tap_gemm(src: np.ndarray, mats: Sequence[np.ndarray], offsets: Sequence[int
     return out
 
 
-def _conv2d_shift(x: Tensor, weight: Tensor, pad: int) -> Tensor:
-    """Stride-1 conv2d as one GEMM per kernel tap, with no im2col buffer.
-
-    In the flat padded NHWC layout, pixel (n, r, c) is row (n*Hp + r)*Wp + c,
-    so tap (i, j) of every output pixel is the contiguous row slice starting
-    at i*Wp + j. Summing the taps' GEMMs gives a "wide" output on the padded
-    grid; rows whose window wraps past a row or image edge fall outside the
-    crop back to (OH, OW). Only the first ``span`` rows are computed: every
-    later row lies outside the crop, and stopping there keeps each tap's
-    slice inside the padded input. Grad-x is the same sum over the output
-    gradient, shifted the other way, with transposed tap weights.
-    """
-    n, cin, h, w = x.shape
-    cout, _, kh, kw = weight.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    oh, ow = hp - kh + 1, wp - kw + 1
-    rows = n * hp * wp
-    lead = (kh - 1) * wp + (kw - 1)  # the largest tap offset
-    span = rows - lead
-    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
-    dtype = np.result_type(x.data, weight.data)
-
-    def crop(flat: np.ndarray, top: int, height: int, width: int) -> np.ndarray:
-        grid = flat.reshape(n, hp, wp, -1)[:, top:top + height, top:top + width, :]
-        return np.ascontiguousarray(grid.transpose(0, 3, 1, 2))
-
-    # the padded input and the per-tap weights are rebuilt on backward
-    # instead of being pinned on the tape
-    taps = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout).astype(dtype)
-    out = crop(_tap_gemm(_pad_flat(x.data, pad, dtype), taps, offsets, rows, span), 0, oh, ow)
-
-    def vjp(g: np.ndarray):
-        # output gradient on the padded grid, behind ``lead`` zero rows so
-        # grad-x can read it at non-negative offsets
-        gbig = np.zeros((lead + rows, cout), dtype=dtype)
-        gbig[lead:].reshape(n, hp, wp, cout)[:, :oh, :ow, :] = g.transpose(0, 2, 3, 1)
-        gx = gw = None
-        if weight.requires_grad:
-            xc = _pad_flat(x.data, pad, dtype, channel_major=True)
-            gf = gbig[lead:lead + span]
-            gw = np.empty((kh * kw, cin, cout), dtype=dtype)
-
-            def run(ks: range) -> None:
-                for k in ks:
-                    np.matmul(xc[:, offsets[k]:offsets[k] + span], gf, out=gw[k])
-
-            _parallel(run, range(kh * kw), span)
-            gw = np.ascontiguousarray(gw.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
-            del xc
-        if x.requires_grad:
-            taps_t = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin).astype(dtype)
-            gxf = _tap_gemm(gbig, taps_t, [lead - off for off in offsets], rows, rows)
-            gx = crop(gxf, pad, h, w)
-        return gx, gw
-
-    return _make(out, "conv2d", (x, weight), vjp)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Bias-free 2-D cross-correlation.
+    """Bias-free 2-D cross-correlation as one GEMM per kernel tap on NHWC rows.
 
     x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw) with odd kernel extents;
-    the output is NCHW. Stride 1 runs as shift-GEMM on NHWC rows
-    (:func:`_conv2d_shift`), with no im2col buffer and no col2im; any other
-    stride unfolds windows with im2col. Both recompute their unfolded or
-    padded input on backward instead of keeping it on the tape.
+    the output is NCHW. Every stride takes this one path: a stride-s conv is
+    a stride-1 conv over the stride phases of the padded input
+    (:func:`_phase_flat`). With P = min(s, k) phases per axis, the kernel
+    regroups into ceil(k/s) taps per axis over Cin*P*P phase channels, so a
+    strided 1x1 conv is a subsample and a 1x1 conv; stride 1 is P = 1.
+
+    In the flat phase layout, pixel (n, r, c) is row (n*Hq + r)*Wq + c, so
+    tap (i, j) of every output pixel is the contiguous row slice starting
+    at i*Wq + j. Summing the taps' GEMMs gives a "wide" output on the phase
+    grid; rows whose window wraps past a row or image edge fall outside the
+    crop back to (OH, OW). Only the first ``span`` rows are computed: every
+    later row lies outside the crop, and stopping there keeps each tap's
+    slice inside the grid. Grad-x is the same sum over the output gradient,
+    shifted the other way, with transposed tap weights, then un-shuffled
+    back to the input grid (:func:`_unphase`).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -399,24 +334,54 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ConfigError(f"conv2d output would be empty for input {h}x{w}, kernel {kh}x{kw}, "
                           f"stride {stride}, padding {padding}")
 
-    if stride == 1:
-        return _conv2d_shift(x, weight, padding)
+    ph, pw = min(stride, kh), min(stride, kw)
+    th, tw = -(-kh // stride), -(-kw // stride)  # taps per axis
+    hq, wq = oh + th - 1, ow + tw - 1
+    cq = ph * pw * cin  # phase channels
+    rows = n * hq * wq
+    lead = (th - 1) * wq + (tw - 1)  # the largest tap offset
+    span = rows - lead
+    offsets = [i * wq + j for i in range(th) for j in range(tw)]
+    dtype = np.result_type(x.data, weight.data)
 
-    cols = _im2col(x.data, kh, kw, stride, padding)
-    w2 = weight.data.reshape(cout, -1)
-    out = np.matmul(w2, cols).reshape(n, cout, oh, ow)
-    del cols  # recomputed on backward: cheaper than pinning ~100MB per conv
+    def phase_kernel() -> np.ndarray:
+        # (Cout, Cq, th, tw): tap (i, j) on phase channel (a, b, c) is
+        # weight (stride*i + a, stride*j + b), zero past the kernel's edge
+        wz = np.zeros((cout, cin, th * ph, tw * pw), dtype=weight.dtype)
+        wz[:, :, :kh, :kw] = weight.data
+        return wz.reshape(cout, cin, th, ph, tw, pw).transpose(0, 3, 5, 1, 2, 4).reshape(cout, cq, th, tw)
+
+    # the phase layout and the per-tap weights are rebuilt on backward
+    # instead of being pinned on the tape
+    taps = phase_kernel().transpose(2, 3, 1, 0).reshape(th * tw, cq, cout).astype(dtype)
+    wide = _tap_gemm(_phase_flat(x.data, stride, padding, (ph, pw), (hq, wq), dtype),
+                     taps, offsets, rows, span)
+    out = _unphase(wide, 1, 0, (1, 1), (hq, wq), (n, cout, oh, ow))  # the crop to (OH, OW)
+    del wide
 
     def vjp(g: np.ndarray):
-        gm = g.reshape(n, cout, oh * ow)
+        # output gradient on the phase grid, behind ``lead`` zero rows so
+        # grad-x can read it at non-negative offsets
+        gbig = np.zeros((lead + rows, cout), dtype=dtype)
+        gbig[lead:].reshape(n, hq, wq, cout)[:, :oh, :ow, :] = g.transpose(0, 2, 3, 1)
         gx = gw = None
         if weight.requires_grad:
-            cols_b = _im2col(x.data, kh, kw, stride, padding)
-            gw = np.matmul(gm, cols_b.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-            del cols_b
+            xc = _phase_flat(x.data, stride, padding, (ph, pw), (hq, wq), dtype, channel_major=True)
+            gf = gbig[lead:lead + span]
+            gw = np.empty((th * tw, cq, cout), dtype=dtype)
+
+            def run(ks: range) -> None:
+                for k in ks:
+                    np.matmul(xc[:, offsets[k]:offsets[k] + span], gf, out=gw[k])
+
+            _parallel(run, range(th * tw), span)
+            gw = gw.reshape(th, tw, ph, pw, cin, cout).transpose(5, 4, 0, 2, 1, 3)
+            gw = np.ascontiguousarray(gw.reshape(cout, cin, th * ph, tw * pw)[:, :, :kh, :kw])
+            del xc
         if x.requires_grad:
-            gcols = np.matmul(w2.T, gm)
-            gx = _col2im(gcols, x.shape, kh, kw, stride, padding)
+            taps_t = phase_kernel().transpose(2, 3, 0, 1).reshape(th * tw, cout, cq).astype(dtype)
+            gxf = _tap_gemm(gbig, taps_t, [lead - off for off in offsets], rows, rows)
+            gx = _unphase(gxf, stride, padding, (ph, pw), (hq, wq), x.shape)
         return gx, gw
 
     return _make(out, "conv2d", (x, weight), vjp)
@@ -558,23 +523,32 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def max_pool2d(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
-    """Max pooling over square windows; gradient routes to the window argmax."""
+    """Max pooling over square windows: the max over the kernel*kernel
+    strided views of the padded input. The gradient routes to the window
+    argmax, the first maximum in window order on ties."""
     x = _as_tensor(x)
     n, c, h, w = x.shape
     oh = _out_extent(h, kernel, stride, padding)
     ow = _out_extent(w, kernel, stride, padding)
-    neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else -np.inf
-    cols = _im2col(x.data, kernel, kernel, stride, padding, fill=neg)
-    cols = cols.reshape(n, c, kernel * kernel, oh * ow)
-    arg = cols.argmax(axis=2)
-    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2)[:, :, 0, :].reshape(n, c, oh, ow)
+    padded = (n, c, h + 2 * padding, w + 2 * padding)
+    inner = (slice(None), slice(None), slice(padding, padding + h), slice(padding, padding + w))
+    windows = [(slice(None), slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+               for i in range(kernel) for j in range(kernel)]
+    xp = np.full(padded, np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else -np.inf,
+                 dtype=x.dtype)
+    xp[inner] = x.data
+    out = xp[windows[0]].copy()
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for k, window in enumerate(windows[1:], 1):
+        arg[xp[window] > out] = k
+        np.maximum(out, xp[window], out=out)
+    del xp
 
     def vjp(g: np.ndarray):
-        gcols = np.zeros((n, c, kernel * kernel, oh * ow), dtype=g.dtype)
-        np.put_along_axis(gcols, arg[:, :, None, :], g.reshape(n, c, 1, oh * ow), axis=2)
-        gx = _col2im(gcols.reshape(n, c * kernel * kernel, oh * ow),
-                     x.shape, kernel, kernel, stride, padding)
-        return (gx,)
+        gp = np.zeros(padded, dtype=g.dtype)
+        for k, window in enumerate(windows):
+            gp[window] += np.where(arg == k, g, 0)
+        return (np.ascontiguousarray(gp[inner]),)
 
     return _make(out, "max_pool2d", (x,), vjp)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .arch import config_to_text
 from .data import Dataset, save_checkpoint
-from .exceptions import ConfigError, NumericError
+from .exceptions import ConfigError, DataError, NumericError
 from .graph import Graph, forward
 from .stochastic_depth import (SurvivalSchedule, batch_gate_seeds, sample_gates,
                                survival_schedule)
@@ -98,11 +98,17 @@ class MetricsLog:
         log = cls()
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
+            missing = [key for key in cls.CSV_HEADER if key not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
             for rec in reader:
-                log.append(MetricsRow(int(rec["epoch"]), float(rec["train_loss"]),
-                                      float(rec["train_err"]), float(rec["test_err"]),
-                                      float(rec["lr"]), float(rec["wall_seconds"]),
-                                      int(rec["gate_seed"])))
+                try:
+                    log.append(MetricsRow(int(rec["epoch"]), float(rec["train_loss"]),
+                                          float(rec["train_err"]), float(rec["test_err"]),
+                                          float(rec["lr"]), float(rec["wall_seconds"]),
+                                          int(rec["gate_seed"])))
+                except (TypeError, ValueError) as e:
+                    raise DataError(f"{path}, line {reader.line_num}: {e}") from None
         return log
 
 
@@ -202,7 +208,6 @@ def top1_error(logits: np.ndarray, labels: np.ndarray) -> float:
 def evaluate(graph: Graph, dataset: Dataset, batch_size: int = 256,
              schedule: Optional[SurvivalSchedule] = None) -> float:
     """Top-1 error in eval mode (running BN statistics, no stochastic state)."""
-    T.enable_buffer_reuse()
     wrong = 0
     for start in range(0, len(dataset), batch_size):
         batch = dataset.images[start:start + batch_size]
@@ -226,7 +231,6 @@ def train(graph: Graph, train_set: Dataset, test_set: Dataset, config: TrainConf
     that rebuilds ``graph``. ``stop_fn(log)`` is consulted after each epoch;
     returning True ends the run early (checkpoint still written).
     """
-    T.enable_buffer_reuse()
     if len(train_set) < 2:
         raise ConfigError("training needs at least two samples (batch statistics)")
     params = graph.parameters()

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from rornet.tensor import Tensor, backward, enable_buffer_reuse
-
-enable_buffer_reuse()
+from rornet.tensor import Tensor, backward
 
 
 def central_diff(loss_fn, array: np.ndarray, indices, h: float = 1e-5) -> np.ndarray:

@@ -284,3 +284,35 @@ class TestPlotCommand:
         code, _, _ = run_cli(capsys, "plot", str(tmp_path / "ghost.csv"),
                              "-o", str(tmp_path / "x.svg"))
         assert code == 3
+
+    def test_csv_without_rows_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("epoch,train_loss,train_err,test_err,lr,wall_seconds,gate_seed\n")
+        code, _, err = run_cli(capsys, "plot", str(path), "-o", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert "empty.csv" in err and "no metrics rows" in err
+
+    def test_malformed_csv_names_file_and_line(self, capsys, tmp_path):
+        good = tmp_path / "good.csv"
+        self._write_csv(good, 0)
+        lines = good.read_text().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(line.replace(",train_loss", ",loss") for line in lines) + "\n")
+        code, _, err = run_cli(capsys, "plot", str(cut), "-o", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert "cut.csv, line 1" in err and "train_loss" in err
+        lines[4] = lines[4].replace(",0.1,", ",fast,")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "plot", str(bad), "-o", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert "bad.csv, line 5" in err and "fast" in err
+
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_window_below_one_is_config_error(self, capsys, tmp_path, window):
+        path = tmp_path / "a.csv"
+        self._write_csv(path, 0)
+        out = tmp_path / "x.svg"
+        code, _, err = run_cli(capsys, "plot", str(path), "-o", str(out), "--window", window)
+        assert code == 2
+        assert "--window" in err and not out.exists()

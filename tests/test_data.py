@@ -202,6 +202,37 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             load_checkpoint(path)
 
+    def test_corrupt_header_byte_rejected(self, tmp_path, rng):
+        # a flipped dtype code is caught by the checksum before any field is read
+        path = tmp_path / "d2.bin"
+        save_checkpoint(path, self._state(rng), "depth=20\n")
+        raw = bytearray(path.read_bytes())
+        name0 = 8 + 4 + 4 + len("depth=20\n") + 4  # magic, version, config, count
+        code_at = name0 + 2 + len("group1.block001.bn1.gamma")  # first tensor in name order
+        assert raw[code_at] == 0  # float32
+        raw[code_at] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            load_checkpoint(path)
+
+    def test_load_holds_no_file_sized_buffer(self, tmp_path, rng):
+        import tracemalloc
+        state = {"a": rng.normal(size=(1024, 2048)).astype(np.float32),
+                 "b": rng.normal(size=(512, 1024)),
+                 "c": rng.normal(size=(3, 5)).astype(np.float32)}
+        path = tmp_path / "big.bin"
+        save_checkpoint(path, state)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tensor_bytes = sum(arr.nbytes for arr in state.values())
+        assert peak < 1.2 * tensor_bytes
+        for name, want in state.items():
+            assert loaded[name].tobytes() == want.tobytes()
+
     def test_unknown_version_rejected(self, tmp_path, rng):
         path = tmp_path / "e.bin"
         save_checkpoint(path, self._state(rng))

@@ -79,10 +79,14 @@ class TestConv2d:
             T.conv2d(x, w, 1, 0)
 
     def test_gradients(self, rng):
-        # stride 2 takes the im2col path; stride 1 the shift-GEMM path
+        # every stride runs on the phases of the padded input; odd extents
+        # leave phase pixels past the input, and a strided 1x1 reads one phase
         for stride, pad, x_shape, w_shape in [(2, 1, (2, 3, 6, 6), (4, 3, 3, 3)),
                                               (1, 1, (2, 3, 5, 6), (4, 3, 3, 3)),
-                                              (1, 0, (2, 3, 5, 6), (4, 3, 1, 1))]:
+                                              (1, 0, (2, 3, 5, 6), (4, 3, 1, 1)),
+                                              (2, 1, (2, 3, 5, 7), (4, 3, 3, 3)),
+                                              (2, 0, (2, 3, 5, 7), (4, 3, 1, 1)),
+                                              (4, 0, (2, 3, 5, 7), (4, 3, 1, 1))]:
             err = check_gradient(lambda x, w: T.conv2d(x, w, stride, pad),
                                  [rng.normal(size=x_shape), rng.normal(size=w_shape)])
             assert err < 1e-4
@@ -302,6 +306,19 @@ class TestMaxPool:
         err = check_gradient(lambda t: T.max_pool2d(t, 3, 2, 1), [x])
         assert err < 1e-4
 
+    def test_ties_route_to_the_first_valid_element(self):
+        # on equal inputs every window's gradient lands on its first element
+        # inside the input: padding never wins, and neither does a later tie
+        x = T.Tensor(np.zeros((1, 1, 5, 5)), requires_grad=True)
+        out = T.max_pool2d(x, 3, 2, 1)
+        g = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
+        (gx,) = out._vjp(g)
+        want = np.zeros((5, 5))
+        for i in range(3):
+            for j in range(3):
+                want[max(2 * i - 1, 0), max(2 * j - 1, 0)] += g[0, 0, i, j]
+        np.testing.assert_array_equal(gx[0, 0], want)
+
 
 class TestLinear:
     def test_identity_map(self, rng):
@@ -480,9 +497,9 @@ def workers(count):
         blas(previous)
 
 
-def conv_and_grads(x, w, pad, g):
+def conv_and_grads(x, w, pad, g, stride=1):
     xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
-    out = T.conv2d(xt, wt, stride=1, padding=pad)
+    out = T.conv2d(xt, wt, stride=stride, padding=pad)
     gx, gw = out._vjp(g.astype(x.dtype).reshape(out.shape))
     return out.data, gx, gw
 
@@ -494,21 +511,24 @@ class TestConvWorkerPool:
     @given(n=st.integers(1, 6), cin=st.integers(1, 6), cout=st.integers(1, 6),
            h=st.integers(1, 40), w=st.integers(1, 40), k=st.sampled_from([1, 3]),
            pad=st.sampled_from([0, 1]), dtype=st.sampled_from([np.float32, np.float64]),
-           pool=st.sampled_from([2, 3]))
+           pool=st.sampled_from([2, 3]), stride=st.sampled_from([1, 2]))
     # spans just below, at and just above two blocks, and spans that are no
     # multiple of a block; the forward span is the padded rows minus the
-    # largest tap offset, and grad-x spans every padded row
-    @example(n=1, cin=2, cout=3, h=65, w=63, k=1, pad=0, dtype=np.float32, pool=2)  # 4095
-    @example(n=4, cin=3, cout=2, h=32, w=32, k=1, pad=0, dtype=np.float64, pool=2)  # 4096
-    @example(n=17, cin=2, cout=5, h=241, w=1, k=1, pad=0, dtype=np.float32, pool=2)  # 4097
-    @example(n=1, cin=3, cout=4, h=241, w=15, k=3, pad=1, dtype=np.float32, pool=2)  # 4095, grad-x 4131
-    @example(n=1, cin=4, cout=3, h=683, w=4, k=3, pad=1, dtype=np.float64, pool=2)  # 4096, grad-x 4110
-    @example(n=1, cin=2, cout=6, h=100, w=39, k=3, pad=1, dtype=np.float32, pool=2)  # 4098, grad-x 4182
-    @example(n=4, cin=5, cout=4, h=30, w=30, k=3, pad=1, dtype=np.float32, pool=2)  # 4030, grad-x 4096
-    @example(n=1, cin=5, cout=2, h=63, w=61, k=3, pad=1, dtype=np.float64, pool=2)  # 3967, grad-x 4095
-    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float32, pool=2)  # 9518, grad-x 9600
-    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float64, pool=3)  # more workers than CPUs
-    def test_pool_matches_inline_bitwise(self, n, cin, cout, h, w, k, pad, dtype, pool):
+    # largest tap offset, and grad-x spans every padded row. A strided conv
+    # works on a phase grid: 31x31 rows (3x3) or 30x30 (1x1) per image here
+    @example(n=6, cin=3, cout=4, h=60, w=59, k=3, pad=1, dtype=np.float32, pool=2, stride=2)  # 5734
+    @example(n=6, cin=5, cout=2, h=60, w=60, k=1, pad=0, dtype=np.float64, pool=2, stride=2)  # 5400
+    @example(n=1, cin=2, cout=3, h=65, w=63, k=1, pad=0, dtype=np.float32, pool=2, stride=1)  # 4095
+    @example(n=4, cin=3, cout=2, h=32, w=32, k=1, pad=0, dtype=np.float64, pool=2, stride=1)  # 4096
+    @example(n=17, cin=2, cout=5, h=241, w=1, k=1, pad=0, dtype=np.float32, pool=2, stride=1)  # 4097
+    @example(n=1, cin=3, cout=4, h=241, w=15, k=3, pad=1, dtype=np.float32, pool=2, stride=1)  # 4095, grad-x 4131
+    @example(n=1, cin=4, cout=3, h=683, w=4, k=3, pad=1, dtype=np.float64, pool=2, stride=1)  # 4096, grad-x 4110
+    @example(n=1, cin=2, cout=6, h=100, w=39, k=3, pad=1, dtype=np.float32, pool=2, stride=1)  # 4098, grad-x 4182
+    @example(n=4, cin=5, cout=4, h=30, w=30, k=3, pad=1, dtype=np.float32, pool=2, stride=1)  # 4030, grad-x 4096
+    @example(n=1, cin=5, cout=2, h=63, w=61, k=3, pad=1, dtype=np.float64, pool=2, stride=1)  # 3967, grad-x 4095
+    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float32, pool=2, stride=1)  # 9518, grad-x 9600
+    @example(n=6, cin=6, cout=3, h=40, w=40, k=3, pad=0, dtype=np.float64, pool=3, stride=1)  # more workers than CPUs
+    def test_pool_matches_inline_bitwise(self, n, cin, cout, h, w, k, pad, dtype, pool, stride):
         if cin == cout:
             cout += 1
         if min(h, w) + 2 * pad < k:
@@ -516,11 +536,11 @@ class TestConvWorkerPool:
         r = np.random.default_rng(n * 1000 + cin * 100 + cout * 10 + h + w)
         x = r.normal(size=(n, cin, h, w)).astype(dtype)
         wt = r.normal(size=(cout, cin, k, k)).astype(dtype)
-        g = r.normal(size=n * cout * (h + 2 * pad - k + 1) * (w + 2 * pad - k + 1))
+        g = r.normal(size=n * cout * ((h + 2 * pad - k) // stride + 1) * ((w + 2 * pad - k) // stride + 1))
         with workers(1):
-            inline = conv_and_grads(x, wt, pad, g)
+            inline = conv_and_grads(x, wt, pad, g, stride)
         with workers(pool):
-            split = conv_and_grads(x, wt, pad, g)
+            split = conv_and_grads(x, wt, pad, g, stride)
         for a, b in zip(inline, split):
             assert a.dtype == b.dtype == dtype
             np.testing.assert_array_equal(a, b)
