@@ -16,6 +16,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from . import __version__
+from .exceptions import CheckpointError, ConfigError, DataError, NumericError
 
 
 def _bool(value: str) -> bool:
@@ -37,8 +38,6 @@ def _split_config_file(path):
     Training-key lines are blanked, not dropped, so the architecture text
     keeps the file's line numbers for error messages.
     """
-    from .exceptions import ConfigError
-
     lines, train_kwargs = Path(path).read_text().splitlines(), {}
     for lineno, raw in enumerate(lines, start=1):
         key, _, value = (part.strip() for part in raw.partition("="))
@@ -71,7 +70,6 @@ def _add_arch_flags(p: argparse.ArgumentParser) -> None:
 
 def _arch_config(args):
     from .arch import ArchConfig, config_from_text
-    from .exceptions import ConfigError
 
     if args.config:
         arch_text, _ = _split_config_file(args.config)
@@ -191,7 +189,6 @@ def cmd_analyze(args) -> int:
 def _load_split(entry: dict, split: str):
     """One split ("train" or "test") of a manifest dataset entry."""
     from .data import load_cifar_split, synthetic_dataset
-    from .exceptions import DataError
 
     if entry["kind"] == "synthetic":
         seed, classes, samples = entry["seed"], entry["classes"], entry["samples"]
@@ -205,8 +202,6 @@ def _load_split(entry: dict, split: str):
 
 def _read_manifest(path: Path) -> dict:
     """A run directory's manifest, checked for the blocks ``rornet eval`` reads."""
-    from .exceptions import DataError
-
     if not path.exists():
         raise DataError(f"no manifest at {path}")
     try:
@@ -246,8 +241,11 @@ def cmd_train(args) -> int:
             return flag_value
         return file_train.get(key, default)
 
-    milestones = (tuple(int(m) for m in args.milestones.split(","))
-                  if args.milestones else setting(None, "milestones", ()))
+    try:  # the flag and the config-file key share one parser
+        milestones = (_TRAIN_FILE_KEYS["milestones"](args.milestones) if args.milestones
+                      else file_train.get("milestones", ()))
+    except ValueError as e:
+        raise ConfigError(f"--milestones: {e}") from None
     augment = setting(args.augment, "pad_crop", False)
     seed = setting(args.seed, "seed", 0)
     tc = TrainConfig(base_lr=setting(args.lr, "base_lr", 0.1),
@@ -324,7 +322,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def cmd_plot(args) -> int:
-    from .exceptions import ConfigError, DataError
     from .train import MetricsLog
 
     if args.window < 1:
@@ -457,7 +454,6 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    from .exceptions import CheckpointError, ConfigError, DataError, NumericError
     try:
         return args.func(args)
     except ConfigError as e:

@@ -166,6 +166,10 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     probability. Level shortcuts are never gated or scaled. When ``capture``
     names node ids, returns ``(logits, {id: ndarray})`` instead. Eval mode
     records no tape, so each activation is freed after its last consumer.
+    In both modes a relu or addition writes its result into the buffer of a
+    value it consumes once and last, unless a vjp reads that value
+    (``_READS_INPUT``), it is the input or captured, or an addition whose
+    branch is dropped passes it through: the training tape shares buffers.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -194,19 +198,28 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
         dropped = {l + 1 for l, g in enumerate(gates.gates) if g == 0}
     active = _active_ids(graph, dropped)
 
-    # each value is dropped after its last active consumer runs
-    last_use = {i: node.id for node in graph.nodes if node.id in active for i in node.inputs}
-    last_use.pop(graph.output_id, None)
-
+    # each value is dropped, and may lend its buffer, at its last active consumer
     capture = set(capture or ())
+    run = [node for node in graph.nodes if node.id in active]
+    last_use: dict[str, str] = {}
+    lendable = active - capture - {graph.input_id}
+    for node in run:
+        # an addition whose branch is dropped may return its one term itself
+        passes = node.op == "add" and node.attrs.get("block") in dropped
+        if node.op in _READS_OUTPUT or passes:
+            lendable.discard(node.id)
+        if node.op in _READS_INPUT or passes:
+            lendable.difference_update(node.inputs)
+        for i in node.inputs:
+            last_use[i] = node.id
+    lent = {i: c for i, c in last_use.items() if i in lendable and graph.by_id[c].inputs.count(i) == 1}
+
     captured: dict[str, np.ndarray] = {}
     vals: dict[str, T.Tensor] = {}
     with T.no_tape() if mode == "eval" else contextlib.nullcontext():
-        for node in graph.nodes:
-            if node.id not in active:
-                continue
+        for node in run:
             try:
-                vals[node.id] = _eval_node(graph, node, vals, xt, mode, dropped, schedule)
+                vals[node.id] = _eval_node(graph, node, vals, xt, mode, dropped, schedule, lent)
             except NumericError as e:
                 raise NumericError(f"{e} (at node {node.id!r})") from e
             if node.id in capture:
@@ -220,8 +233,14 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     return out
 
 
+# ops whose vjp reads their inputs' values, and ops whose vjp reads their
+# output's: ``forward`` lends no buffer that a vjp reads
+_READS_INPUT = ("conv", "bn", "linear")
+_READS_OUTPUT = ("relu",)
+
+
 def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
-               dropped: set[int], schedule) -> T.Tensor:
+               dropped: set[int], schedule, lent: dict[str, str]) -> T.Tensor:
     a = node.attrs
     if node.op == "input":
         return xt
@@ -231,7 +250,8 @@ def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
     if node.op == "bn":
         return T.batch_norm(vals[node.inputs[0]], graph.bn[a["state"]], mode)
     if node.op == "relu":
-        return T.relu(vals[node.inputs[0]])
+        x = vals[node.inputs[0]]
+        return T.relu(x, out=x.data if lent.get(node.inputs[0]) == node.id else None)
     if node.op == "pad_project":
         return T.subsample_pad(vals[node.inputs[0]], a["stride"], a["out_channels"])
     if node.op == "maxpool":
@@ -244,18 +264,18 @@ def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
         return T.linear(vals[node.inputs[0]], w, b)
     if node.op == "add":
         block_index = a.get("block")
-        terms = []
+        terms, out = [], None
         for i in node.inputs:
-            if block_index is not None and i == a.get("branch"):
-                if block_index in dropped:
-                    continue  # branch pruned for this mini-batch
-                t = vals[i]
-                if mode == "eval" and schedule is not None:
-                    t = T.scale(t, float(schedule.probs[block_index - 1]))
-                terms.append(t)
-            else:
-                terms.append(vals[i])
+            is_branch = block_index is not None and i == a.get("branch")
+            if is_branch and block_index in dropped:
+                continue  # branch pruned for this mini-batch
+            t = vals[i]
+            if is_branch and mode == "eval" and schedule is not None:
+                t = T.scale(t, float(schedule.probs[block_index - 1]))
+            if out is None and len(terms) < 2 and lent.get(i) == node.id:
+                out = t.data  # add_n keeps its order by writing only into t0 or t1
+            terms.append(t)
         if len(terms) == 1:
             return terms[0]
-        return T.add_n(terms)
+        return T.add_n(terms, out=out)
     raise ConfigError(f"unknown op {node.op!r} at {node.id!r}")

@@ -15,7 +15,9 @@ Conventions:
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite and raises
-    :class:`NumericError` otherwise, so NaN/Inf never propagate silently.
+    :class:`NumericError` otherwise, so NaN/Inf never propagate silently,
+  * :func:`relu` and :func:`add_n` can write into an input's buffer
+    (``out=``); the graph executor lends them buffers that no vjp reads.
 """
 
 from __future__ import annotations
@@ -190,16 +192,17 @@ def _phase_flat(x: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
     """
     n, c, h, w = x.shape
     (ph, pw), (hq, wq) = phases, grid
+    rows = [_phase_axis(a, stride, pad, h, hq) for a in range(ph)]
+    cols = [_phase_axis(b, stride, pad, w, wq) for b in range(pw)]
+    covered = all(q.stop - q.start == hq for q, _ in rows) and all(q.stop - q.start == wq for q, _ in cols)
     if channel_major:
-        xq = np.zeros((ph, pw, c, n, hq, wq), dtype=dtype)
+        xq = (np.empty if covered else np.zeros)((ph, pw, c, n, hq, wq), dtype=dtype)
         src = x.transpose(1, 0, 2, 3)
     else:
-        xq = np.zeros((n, hq, wq, ph, pw, c), dtype=dtype)
+        xq = (np.empty if covered else np.zeros)((n, hq, wq, ph, pw, c), dtype=dtype)
         src = x.transpose(0, 2, 3, 1)
-    for a in range(ph):
-        rq, rx = _phase_axis(a, stride, pad, h, hq)
-        for b in range(pw):
-            cq, cx = _phase_axis(b, stride, pad, w, wq)
+    for a, (rq, rx) in enumerate(rows):
+        for b, (cq, cx) in enumerate(cols):
             if channel_major:
                 xq[a, b, :, :, rq, cq] = src[:, :, rx, cx]
             else:
@@ -455,19 +458,21 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
     return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x). The subgradient at exactly zero is zero."""
+def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+    """Elementwise max(0, x). The subgradient at exactly zero is zero. The vjp
+    masks by the output, so ``out`` may be the buffer of ``x``."""
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0)
+    out = np.maximum(x.data, 0, out=out)
 
     def vjp(g: np.ndarray):
-        return (g * (x.data > 0),)
+        return (g * (out > 0),)
 
     return _make(out, "relu", (x,), vjp)
 
 
-def add_n(inputs: Sequence[Tensor]) -> Tensor:
-    """Sum two or more same-shape tensors; gradients pass through unchanged."""
+def add_n(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
+    """Sum two or more same-shape tensors as ((t0 + t1) + t2) + ...; gradients
+    pass through unchanged. ``out`` may be t0's or t1's buffer, no later term's."""
     tensors = [_as_tensor(t) for t in inputs]
     if len(tensors) < 2:
         raise ConfigError("add_n needs at least two inputs")
@@ -475,8 +480,10 @@ def add_n(inputs: Sequence[Tensor]) -> Tensor:
     for t in tensors[1:]:
         if t.shape != shape:
             raise ConfigError(f"add_n shape mismatch: {shape} vs {t.shape}")
-    out = tensors[0].data.copy()
-    for t in tensors[1:]:
+    if out is not None and any(np.may_share_memory(out, t.data) for t in tensors[2:]):
+        raise ConfigError("add_n cannot write into the buffer of its third or later term")
+    out = np.add(tensors[0].data, tensors[1].data, out=out)
+    for t in tensors[2:]:
         out += t.data
 
     def vjp(g: np.ndarray):

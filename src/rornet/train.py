@@ -45,6 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite((self.base_lr, self.lr_factor, self.weight_decay)).all():
+            raise ConfigError("base_lr, lr_factor and weight_decay must be finite numbers")
         if self.base_lr <= 0 or self.lr_factor <= 0 or self.max_epochs < 1:
             raise ConfigError("learning rates and epoch count must be positive")
         if self.batch_size < 2:

@@ -10,11 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
                          config_to_text, resolve_config)
 from rornet.exceptions import ConfigError, NumericError
-from rornet.graph import forward
+from rornet.graph import Graph, forward
+from rornet.stochastic_depth import GateVector, survival_schedule
 from rornet.tensor import backward, softmax_cross_entropy
 
 
@@ -396,6 +399,113 @@ class TestTrainTape:
                 arr = arr.base
             buffers[id(arr)] = arr.nbytes
         assert kept <= 1.02 * sum(buffers.values())
+
+    def test_shared_buffers_keep_under_two_thirds_of_node_outputs(self, rng):
+        # in each post-act block the BN output before a ReLU, the branch and
+        # the addition are read by no vjp, so their consumers write in place
+        g = build(ArchConfig(depth=20, levels_m=3))
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        node_bytes = sum(8 * int(np.prod(n.shape)) * 4 for n in g.nodes if n.op != "input")
+        tracemalloc.start()
+        try:
+            out = forward(g, x, mode="train")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert kept <= 0.65 * node_bytes
+
+
+def run_step(g, x, labels, gates, capture):
+    """Train forward and backward, then a scheduled eval forward; every result."""
+    got = forward(g, x, mode="train", gates=gates, capture=capture)
+    logits, caps = got if capture else (got, {})
+    loss = softmax_cross_entropy(logits, labels)
+    backward(loss)
+    schedule = survival_schedule(g.meta["num_blocks"], 0.5) if gates is not None else None
+    state = {"loss": loss.data, "logits": logits.data, "eval": forward(g, x, mode="eval", schedule=schedule).data}
+    state.update({"grad." + p.name: p.tensor.grad for p in g.parameters() if p.tensor.grad is not None})
+    state.update({"bn." + k: v for k, v in g.state_dict().items() if k.endswith(("_mean", "_var"))})
+    return state, caps
+
+
+class TestBufferDonation:
+    """Writing relu and addition results into their inputs' buffers changes no bit."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(blocks=st.tuples(*[st.integers(1, 2)] * 3), m=st.integers(1, 3),
+           order=st.sampled_from(["post_act", "pre_act"]), final=st.sampled_from(["A", "B"]),
+           upper=st.sampled_from(["A", "B"]),
+           bits=st.none() | st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_matches_a_run_that_shares_no_buffer(self, blocks, m, order, final, upper, bits):
+        cfg = ArchConfig(blocks_per_group=blocks, levels_m=m, block_order=order,
+                         final_shortcut=final, upper_shortcut=upper)
+        g, ref = build(cfg, seed=4), build(cfg, seed=4)
+        gates = None if bits is None else GateVector(np.array(bits[:sum(blocks)], dtype=np.uint8), 0)
+        r = np.random.default_rng(sum(blocks) * 10 + m)
+        x = r.normal(size=(3, 3, 32, 32)).astype(np.float32)
+        x0, labels = x.copy(), r.integers(0, 10, size=3)
+        every = [n.id for n in ref.nodes]  # nothing captured is written into
+        want, _ = run_step(ref, x, labels, gates, every)
+        got, _ = run_step(g, x, labels, gates, None)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+        assert x.tobytes() == x0.tobytes()
+
+    def test_each_rule_guards_a_buffer_here(self, rng):
+        # the input feeds only a relu; r1 is a relu output that an addition
+        # consumes last; m is taken twice by a three-term addition; with its
+        # branch dropped, p passes r1 itself on to an addition
+        g = Graph("cifar", (3, 8, 8), meta={"dtype": np.float64, "num_blocks": 1})
+        g.input_id, g.output_id = "input", "fc"
+        g.add_param("c0.w", rng.normal(size=(4, 3, 3, 3)))
+        g.add_param("fc.w", rng.normal(size=(2, 4)))
+        g.add_param("fc.b", np.zeros(2))
+        for nid, op, inputs, attrs in [
+                ("input", "input", [], {}),
+                ("r0", "relu", ["input"], {}),
+                ("c0", "conv", ["r0"], {"param": "c0.w", "stride": 1, "padding": 1}),
+                ("r1", "relu", ["c0"], {}),
+                ("m", "maxpool", ["r1"], {"kernel": 3, "stride": 1, "padding": 1}),
+                ("d", "add", ["m", "r1", "m"], {}),
+                ("br", "maxpool", ["r1"], {"kernel": 3, "stride": 1, "padding": 1}),
+                ("p", "add", ["r1", "br"], {"block": 1, "branch": "br"}),
+                ("a", "add", ["p", "d"], {}),
+                ("gap", "gap", ["a"], {}),
+                ("fc", "linear", ["gap"], {"weight": "fc.w", "bias": "fc.b"})]:
+            g.add_node(nid, op, inputs, attrs)
+        x = rng.normal(size=(2, 3, 8, 8))
+        x0 = x.copy()
+        for gates in (None, GateVector(np.zeros(1, dtype=np.uint8), 0)):
+            grads = []
+            for capture in (None, [n.id for n in g.nodes]):
+                got = forward(g, x, mode="train", gates=gates, capture=capture)
+                backward(softmax_cross_entropy(got[0] if capture else got, np.array([0, 1])))
+                grads.append(g.params["c0.w"].tensor.grad)
+                g.params["c0.w"].tensor.grad = None
+            assert grads[0].tobytes() == grads[1].tobytes()
+            assert x.tobytes() == x0.tobytes()
+
+    def test_captured_arrays_are_never_written(self, rng):
+        # BN outputs, branches and additions would lend their buffers, were
+        # they not captured; a run capturing every node shares none
+        cfg = ArchConfig(depth=20, levels_m=3)
+        g, ref = build(cfg), build(cfg)
+        x = rng.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        labels = np.arange(4)
+        picked = [n.id for n in g.nodes if n.op in ("bn", "add")]
+        _, want = run_step(ref, x, labels, None, [n.id for n in ref.nodes])
+        _, caps = run_step(g, x, labels, None, picked)
+        assert caps.keys() == set(picked)
+        for k, v in caps.items():
+            assert v.tobytes() == want[k].tobytes(), k
+        roots = []
+        for arr in want.values():
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            roots.append(id(arr))
+        assert len(set(roots)) == len(roots)  # the reference lent no buffer
 
 class TestConfigText:
     def test_round_trip(self):

@@ -247,6 +247,26 @@ class TestTrainEvalCommands:
         assert code == 2
         assert "batch size" in err
 
+    @pytest.mark.parametrize("flags, named", [(("--milestones", "1,x"), "--milestones"),
+                                              (("--milestones", "1.5"), "--milestones"),
+                                              (("--lr", "nan"), "finite"),
+                                              (("--weight-decay", "inf"), "finite")])
+    def test_bad_training_flag_is_config_error(self, capsys, tmp_path, flags, named):
+        code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "8",
+                               "--classes", "4", "--blocks", "1,1,1", "--epochs", "2",
+                               *flags, "--out-dir", str(tmp_path / "m"))
+        assert code == 2
+        assert named in err
+
+    def test_milestones_flag_parses_as_the_config_key(self, capsys, tmp_path):
+        # empty parts are skipped, as in a config file's milestones line
+        out = tmp_path / "m"
+        code, _, _ = run_cli(capsys, "train", "--synthetic", "--samples", "8",
+                             "--classes", "4", "--blocks", "1,1,1", "--epochs", "2",
+                             "--batch-size", "4", "--milestones", ",1", "--out-dir", str(out))
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["train"]["milestones"] == [1]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_failure(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "32",

@@ -202,6 +202,16 @@ class TestRelu:
                              exclude=lambda arr, i: abs(arr.reshape(-1)[i]) < 1e-3)
         assert err < 1e-4
 
+    def test_writes_into_its_input_and_masks_by_its_output(self, rng):
+        data = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        want = T.relu(T.Tensor(data.copy(), requires_grad=True))
+        x = T.Tensor(data, requires_grad=True)
+        out = T.relu(x, out=x.data)
+        assert out.data is data
+        np.testing.assert_array_equal(out.data, want.data)
+        g = rng.normal(size=data.shape).astype(np.float32)
+        np.testing.assert_array_equal(out._vjp(g)[0], want._vjp(g)[0])
+
 
 class TestAddN:
     def test_additive_identity(self, rng):
@@ -227,6 +237,18 @@ class TestAddN:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             T.add_n([T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((2, 3)))])
+
+    def test_writes_into_its_first_or_second_term_only(self, rng):
+        parts = [rng.normal(size=(3, 5)).astype(np.float32) for _ in range(3)]
+        want = T.add_n([T.Tensor(p) for p in parts]).data
+        for k in (0, 1):
+            terms = [T.Tensor(p.copy()) for p in parts]
+            out = T.add_n(terms, out=terms[k].data)
+            assert out.data is terms[k].data
+            assert out.data.tobytes() == want.tobytes()  # the same association order
+        terms = [T.Tensor(p) for p in parts]
+        with pytest.raises(ConfigError):
+            T.add_n(terms, out=terms[2].data)
 
     def test_gradient_routes_unchanged(self, rng):
         a = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)

@@ -45,7 +45,9 @@ class TestLrSchedule:
             TrainConfig(milestones=(10, 30), max_epochs=20)
 
     @pytest.mark.parametrize("bad", [dict(batch_size=1), dict(momentum=1.0), dict(momentum=-0.1),
-                                     dict(weight_decay=-1e-4)])
+                                     dict(weight_decay=-1e-4), dict(base_lr=float("nan")),
+                                     dict(base_lr=float("inf")), dict(lr_factor=float("nan")),
+                                     dict(weight_decay=float("nan")), dict(weight_decay=float("inf"))])
     def test_bad_hyperparameters_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
