@@ -3,9 +3,11 @@
 The pipeline is: :class:`ArchConfig` -> :func:`resolve_config` ->
 :class:`ResolvedPlan` -> :func:`build` -> :class:`~rornet.graph.Graph`.
 A plan fully enumerates per-block channels/strides/shortcuts and the list
-of upper-level shortcut segments; the builder then emits the stem, the
-residual block groups with their per-block (final-level) shortcuts, the
-upper-level projections, and the pooling/classifier head.
+of upper-level shortcut segments; the builder then emits the stem, each
+residual block from one conv table together with its per-block
+(final-level) shortcut, and the pooling/classifier head. Each upper-level
+projection is emitted at its destination: just before the addition of the
+block that ends its segment, which is created with every term it sums.
 
 Shortcut levels: level 1 is the root shortcut spanning all blocks, level 2
 spans one block group, deeper levels (4 or more total levels) split each
@@ -15,6 +17,8 @@ per-block shortcut. With a single level the graph is a plain residual chain.
 
 from __future__ import annotations
 
+import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -132,10 +136,9 @@ class ResolvedPlan:
         return self.blocks[-1].out_channels
 
 
-def _validate_enum(value: str, allowed: Sequence[str], what: str) -> str:
+def _validate_enum(value: str, allowed: Sequence[str], what: str) -> None:
     if value not in allowed:
         raise ConfigError(f"{what} must be one of {', '.join(allowed)}; got {value!r}")
-    return value
 
 
 def resolve_config(config: ArchConfig) -> ResolvedPlan:
@@ -163,48 +166,37 @@ def resolve_config(config: ArchConfig) -> ResolvedPlan:
     if config.block_size == "bottleneck" and config.family != "imagenet":
         raise ConfigError("bottleneck blocks are only supported for the imagenet family")
 
-    block_size = config.block_size
     if config.family == "cifar":
-        stem_width = CIFAR_STEM_WIDTH
-        input_shape = (3, 32, 32)
-        if config.blocks_per_group is not None:
-            counts = tuple(int(b) for b in config.blocks_per_group)
-            if not counts or any(b < 1 for b in counts):
-                raise ConfigError("blocks_per_group needs at least one positive entry")
-        else:
-            d = config.depth
-            if block_size == "b333":
-                if d < 11 or (d - 2) % 9 != 0:
-                    raise ConfigError(f"depth {d} invalid for b333: depth must be 9n+2")
-                n = (d - 2) // 9
-            elif config.width_k > 1:
-                # wide variants are named by their 6n+4 layer count
-                if d < 10 or (d - 4) % 6 != 0:
-                    raise ConfigError(f"depth {d} invalid for a wide (k>1) network: depth must be 6n+4")
-                n = (d - 4) // 6
-            else:
-                if d < 8 or (d - 2) % 6 != 0:
-                    raise ConfigError(f"depth {d} invalid for b33: depth must be 6n+2")
-                n = (d - 2) // 6
-            counts = (n, n, n)
-        widths = tuple(stem_width * config.width_k * (2 ** i) for i in range(len(counts)))
-        strides = (1,) + (2,) * (len(counts) - 1)
-        expansion = 1
+        stem_width, input_shape = CIFAR_STEM_WIDTH, (3, 32, 32)
     else:
-        stem_width = IMAGENET_STEM_WIDTH
-        input_shape = (3, 224, 224)
-        if config.blocks_per_group is not None:
-            counts = tuple(int(b) for b in config.blocks_per_group)
-            if not counts or any(b < 1 for b in counts):
-                raise ConfigError("blocks_per_group needs at least one positive entry")
+        stem_width, input_shape = IMAGENET_STEM_WIDTH, (3, 224, 224)
+    block_size, d = config.block_size, config.depth
+    if config.blocks_per_group is not None:
+        counts = tuple(int(b) for b in config.blocks_per_group)
+        if not counts or any(b < 1 for b in counts):
+            raise ConfigError("blocks_per_group needs at least one positive entry")
+    elif config.family == "imagenet":
+        if d not in IMAGENET_DEPTHS:
+            raise ConfigError(f"imagenet depth must be one of {sorted(IMAGENET_DEPTHS)}, got {d}")
+        counts, block_size = IMAGENET_DEPTHS[d]
+    else:
+        if block_size == "b333":
+            if d < 11 or (d - 2) % 9 != 0:
+                raise ConfigError(f"depth {d} invalid for b333: depth must be 9n+2")
+            n = (d - 2) // 9
+        elif config.width_k > 1:
+            # wide variants are named by their 6n+4 layer count
+            if d < 10 or (d - 4) % 6 != 0:
+                raise ConfigError(f"depth {d} invalid for a wide (k>1) network: depth must be 6n+4")
+            n = (d - 4) // 6
         else:
-            if config.depth not in IMAGENET_DEPTHS:
-                raise ConfigError(f"imagenet depth must be one of {sorted(IMAGENET_DEPTHS)}, "
-                                  f"got {config.depth}")
-            counts, block_size = IMAGENET_DEPTHS[config.depth]
-        widths = tuple(stem_width * config.width_k * (2 ** i) for i in range(len(counts)))
-        strides = (1,) + (2,) * (len(counts) - 1)
-        expansion = BOTTLENECK_EXPANSION if block_size == "bottleneck" else 1
+            if d < 8 or (d - 2) % 6 != 0:
+                raise ConfigError(f"depth {d} invalid for b33: depth must be 6n+2")
+            n = (d - 2) // 6
+        counts = (n, n, n)
+    widths = tuple(stem_width * config.width_k * (2 ** i) for i in range(len(counts)))
+    strides = (1,) + (2,) * (len(counts) - 1)
+    expansion = BOTTLENECK_EXPANSION if block_size == "bottleneck" else 1
 
     final_kind = config.final_shortcut
     if final_kind is None:
@@ -225,38 +217,25 @@ def resolve_config(config: ArchConfig) -> ResolvedPlan:
             blocks.append(BlockPlan(gi, index, in_ch, out_ch, grp.width, stride, shortcut))
             in_ch = out_ch
 
-    level_shortcuts = _plan_level_shortcuts(config, groups, blocks, stem_width,
-                                            expansion, config.upper_shortcut)
-    plan = ResolvedPlan(config.family, stem_width, input_shape, block_size,
+    level_shortcuts = _plan_level_shortcuts(config.levels_m, groups, blocks, config.upper_shortcut)
+    return ResolvedPlan(config.family, stem_width, input_shape, block_size,
                         groups, blocks, level_shortcuts, config=config)
-    return plan
 
 
 def _segment_shortcut(level: int, blocks: list[BlockPlan], start: int, end: int,
                       kind: str) -> LevelShortcut:
     """Shortcut spanning blocks start+1 .. end (0 = stem output)."""
     seg = blocks[start:end]
-    stride = 1
-    for b in seg:
-        stride *= b.stride
-    spec = ProjectionSpec(kind, seg[0].in_channels, seg[-1].out_channels, stride)
-    return LevelShortcut(level, start, end, spec)
+    stride = math.prod(b.stride for b in seg)
+    return LevelShortcut(level, start, end,
+                         ProjectionSpec(kind, seg[0].in_channels, seg[-1].out_channels, stride))
 
 
-def _plan_level_shortcuts(config: ArchConfig, groups: list[GroupPlan],
-                          blocks: list[BlockPlan], stem_width: int,
-                          expansion: int, kind: str) -> list[LevelShortcut]:
-    m = config.levels_m
-    out: list[LevelShortcut] = []
-    if m >= 2:
-        out.append(_segment_shortcut(1, blocks, 0, len(blocks), kind))
-    if m >= 3:
-        start = 0
-        for grp in groups:
-            out.append(_segment_shortcut(2, blocks, start, start + grp.blocks, kind))
-            start += grp.blocks
-    # deeper levels split each group into 2, 4, ... equal parts
-    for level in range(3, m):
+def _plan_level_shortcuts(m: int, groups: list[GroupPlan], blocks: list[BlockPlan],
+                          kind: str) -> list[LevelShortcut]:
+    out = [_segment_shortcut(1, blocks, 0, len(blocks), kind)] if m >= 2 else []
+    # level 2 spans each group; deeper levels split each group into 2, 4, ... equal parts
+    for level in range(2, m):
         pieces = 2 ** (level - 2)
         start = 0
         for gi, grp in enumerate(groups, start=1):
@@ -310,108 +289,29 @@ def _relu(g: Graph, name: str, src: str) -> str:
     return name
 
 
-def make_projection(g: Graph, spec: ProjectionSpec, src: str, name: str,
-                    seed: int, dtype, before: Optional[str] = None) -> str:
-    """Emit a shortcut projection fragment and return its output node id."""
-    src_shape = g.by_id[src].shape
-    oh = -(-src_shape[1] // spec.stride)  # ceil division matches 1x1 conv arithmetic
-    ow = -(-src_shape[2] // spec.stride)
+def _project(g: Graph, spec: ProjectionSpec, src: str, name: str, seed: int, dtype) -> str:
+    """Emit a shortcut projection: a 1x1 conv (B) or a zero-padding subsample (A)."""
     if spec.kind == "B":
-        pname = name + ".weight"
-        rng = _param_rng(seed, pname)
-        g.add_param(pname, T.he_init((spec.out_channels, spec.in_channels, 1, 1),
-                                     spec.in_channels, rng, dtype))
-        node = g.add_node(name, "conv", [src],
-                          {"param": pname, "stride": spec.stride, "padding": 0},
-                          (spec.out_channels, oh, ow))
-    else:
-        node = g.add_node(name, "pad_project", [src],
-                          {"stride": spec.stride, "out_channels": spec.out_channels},
-                          (spec.out_channels, oh, ow))
-    if before is not None:
-        g.nodes.remove(node)
-        g.nodes.insert(g.nodes.index(g.by_id[before]), node)
+        return _conv(g, name, src, spec.in_channels, spec.out_channels, 1, spec.stride, 0, seed, dtype)
+    _, h, w = g.by_id[src].shape
+    oh, ow = -(-h // spec.stride), -(-w // spec.stride)  # the 1x1 conv's output size
+    g.add_node(name, "pad_project", [src], {"stride": spec.stride, "out_channels": spec.out_channels},
+               (spec.out_channels, oh, ow))
     return name
 
 
-def build_residual_block(g: Graph, block: BlockPlan, order: str, block_size: str,
-                         src: str, name: str, seed: int, dtype) -> str:
-    """Emit one residual block; returns the block's output node id.
-
-    Post-activation blocks end with a ReLU after the addition; pre-activation
-    blocks end at the (un-activated) addition. The addition node records the
-    residual-branch input and the global block index for drop-path gating.
-    """
-    in_ch, out_ch, mid, stride = block.in_channels, block.out_channels, block.mid_channels, block.stride
-
-    if order == "post_act":
-        if block_size == "bottleneck":
-            h = _conv(g, f"{name}.conv1", src, in_ch, mid, 1, 1, 0, seed, dtype)
-            h = _bn(g, f"{name}.bn1", h, mid, dtype)
-            h = _relu(g, f"{name}.relu1", h)
-            h = _conv(g, f"{name}.conv2", h, mid, mid, 3, stride, 1, seed, dtype)
-            h = _bn(g, f"{name}.bn2", h, mid, dtype)
-            h = _relu(g, f"{name}.relu2", h)
-            h = _conv(g, f"{name}.conv3", h, mid, out_ch, 1, 1, 0, seed, dtype)
-            branch = _bn(g, f"{name}.bn3", h, out_ch, dtype)
-        else:
-            convs = 3 if block_size == "b333" else 2
-            h = src
-            for ci in range(1, convs + 1):
-                cin = in_ch if ci == 1 else out_ch
-                h = _conv(g, f"{name}.conv{ci}", h, cin, out_ch, 3,
-                          stride if ci == 1 else 1, 1, seed, dtype)
-                h = _bn(g, f"{name}.bn{ci}", h, out_ch, dtype)
-                if ci < convs:
-                    h = _relu(g, f"{name}.relu{ci}", h)
-            branch = h
-    else:
-        if block_size == "bottleneck":
-            h = _bn(g, f"{name}.bn1", src, in_ch, dtype)
-            h = _relu(g, f"{name}.relu1", h)
-            h = _conv(g, f"{name}.conv1", h, in_ch, mid, 1, 1, 0, seed, dtype)
-            h = _bn(g, f"{name}.bn2", h, mid, dtype)
-            h = _relu(g, f"{name}.relu2", h)
-            h = _conv(g, f"{name}.conv2", h, mid, mid, 3, stride, 1, seed, dtype)
-            h = _bn(g, f"{name}.bn3", h, mid, dtype)
-            h = _relu(g, f"{name}.relu3", h)
-            branch = _conv(g, f"{name}.conv3", h, mid, out_ch, 1, 1, 0, seed, dtype)
-        else:
-            convs = 3 if block_size == "b333" else 2
-            h = src
-            for ci in range(1, convs + 1):
-                cin = in_ch if ci == 1 else out_ch
-                h = _bn(g, f"{name}.bn{ci}", h, cin, dtype)
-                h = _relu(g, f"{name}.relu{ci}", h)
-                h = _conv(g, f"{name}.conv{ci}", h, cin, out_ch, 3,
-                          stride if ci == 1 else 1, 1, seed, dtype)
-            branch = h
-
-    if block.shortcut is None:
-        identity = src
-    else:
-        identity = make_projection(g, block.shortcut, src, f"{name}.shortcut", seed, dtype)
-
-    if g.by_id[identity].shape != g.by_id[branch].shape:
-        raise ConfigError(f"shortcut/branch shape mismatch at {name!r}: "
-                          f"{g.by_id[identity].shape} vs {g.by_id[branch].shape}")
-    add = g.add_node(f"{name}.add", "add", [identity, branch],
-                     {"block": block.index, "branch": branch}, g.by_id[branch].shape)
-    if order == "post_act":
-        return _relu(g, f"{name}.relu_out", add.id)
-    return add.id
+def _branch_convs(block: BlockPlan, block_size: str) -> list[tuple[int, int, int, int, int]]:
+    """``(in, out, kernel, stride, padding)`` of each residual-branch conv, in order."""
+    cin, cout, mid, stride = block.in_channels, block.out_channels, block.mid_channels, block.stride
+    if block_size == "bottleneck":
+        return [(cin, mid, 1, 1, 0), (mid, mid, 3, stride, 1), (mid, cout, 1, 1, 0)]
+    return [(cin if i == 0 else cout, cout, 3, stride if i == 0 else 1, 1)
+            for i in range(3 if block_size == "b333" else 2)]
 
 
-def attach_level_shortcuts(g: Graph, plan: ResolvedPlan, block_outputs: list[str],
-                           block_adds: list[str], seed: int, dtype) -> None:
-    """Add the upper-level projected terms onto their destination additions.
-
-    The base graph must already exist with single-level semantics;
-    ``block_outputs[k]`` is the output of block k (0 = stem) and
-    ``block_adds[k - 1]`` its addition. Projection nodes are inserted
-    immediately before their destination addition so the node list stays
-    topologically ordered.
-    """
+def _level_projections(plan: ResolvedPlan) -> dict[int, list[tuple[str, LevelShortcut]]]:
+    """Name each level shortcut and group them by destination block, in plan order."""
+    by_dst: dict[int, list[tuple[str, LevelShortcut]]] = {}
     counters: dict[int, int] = {}
     for ls in plan.level_shortcuts:
         counters[ls.level] = counters.get(ls.level, 0) + 1
@@ -421,62 +321,70 @@ def attach_level_shortcuts(g: Graph, plan: ResolvedPlan, block_outputs: list[str
             name = f"level2.group{plan.blocks[ls.dst_block - 1].group}.proj"
         else:
             name = f"level{ls.level}.seg{counters[ls.level]:02d}.proj"
-        src = block_outputs[ls.src_block]
-        dst_add = block_adds[ls.dst_block - 1]
-        out_id = make_projection(g, ls.spec, src, name, seed, dtype, before=dst_add)
-        add_node = g.by_id[dst_add]
-        if g.by_id[out_id].shape != add_node.shape:
-            raise ConfigError(f"level shortcut {name!r} shape {g.by_id[out_id].shape} "
-                              f"does not match destination {add_node.shape}")
-        add_node.inputs.append(out_id)
+        by_dst.setdefault(ls.dst_block, []).append((name, ls))
+    return by_dst
 
 
 def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
-    """Construct the full graph: stem, block groups, level shortcuts, head.
+    """Construct the full graph: stem, residual blocks, head.
+
+    Every block comes from one conv table (:func:`_branch_convs`): conv-bn-relu
+    per conv for ``post_act`` (the last ReLU moves after the addition),
+    bn-relu-conv for ``pre_act`` (the addition is the block output). Each
+    level projection is emitted at its destination block, just before that
+    block's addition, whose inputs are the identity (or its projection), the
+    branch and then the level terms in plan order.
 
     Deterministic given (config, seed): every parameter draws from its own
     named stream, so identical names receive identical initial values across
     different level counts.
     """
     plan = resolve_config(config)
-    order, block_size = config.block_order, plan.block_size
+    order = config.block_order
 
     g = Graph(plan.family, plan.input_shape,
               meta={"dtype": dtype, "num_blocks": plan.num_blocks, "plan": plan})
     g.add_node("input", "input", [], {}, plan.input_shape)
     g.input_id = "input"
 
-    # stem
-    if plan.family == "cifar":
-        out = _conv(g, "stem.conv", "input", 3, plan.stem_width, 3, 1, 1, seed, dtype)
-        if order == "post_act":
-            out = _bn(g, "stem.bn", out, plan.stem_width, dtype)
-            out = _relu(g, "stem.relu", out)
-    else:
-        out = _conv(g, "stem.conv", "input", 3, plan.stem_width, 7, 2, 3, seed, dtype)
-        if order == "post_act":
-            out = _bn(g, "stem.bn", out, plan.stem_width, dtype)
-            out = _relu(g, "stem.relu", out)
-        shape = g.by_id[out].shape
-        pooled = ((shape[1] + 2 - 3) // 2 + 1, (shape[2] + 2 - 3) // 2 + 1)
-        g.add_node("stem.pool", "maxpool", [out],
-                   {"kernel": 3, "stride": 2, "padding": 1},
-                   (shape[0],) + pooled)
-        out = "stem.pool"
+    k, stride, pad = (3, 1, 1) if plan.family == "cifar" else (7, 2, 3)
+    out = _conv(g, "stem.conv", "input", 3, plan.stem_width, k, stride, pad, seed, dtype)
+    if order == "post_act":
+        out = _relu(g, "stem.relu", _bn(g, "stem.bn", out, plan.stem_width, dtype))
+    if plan.family == "imagenet":
+        c, h, w = g.by_id[out].shape
+        out = g.add_node("stem.pool", "maxpool", [out], {"kernel": 3, "stride": 2, "padding": 1},
+                         (c, (h - 1) // 2 + 1, (w - 1) // 2 + 1)).id
 
-    block_outputs = [out]  # x_1 is the stem output, the input of block 1
-    block_adds: list[str] = []
-    for block in plan.blocks:
-        name = f"group{block.group}.block{_block_pos(plan, block):03d}"
-        out = build_residual_block(g, block, order, block_size, out, name, seed, dtype)
-        block_outputs.append(out)
-        block_adds.append(f"{name}.add")
+    levels = _level_projections(plan)
+    xs = [out]  # xs[k] is the output of block k; xs[0] is the stem output
+    for _, group in itertools.groupby(plan.blocks, key=lambda b: b.group):
+        for pos, block in enumerate(group, start=1):
+            name, h = f"group{block.group}.block{pos:03d}", xs[-1]
+            convs = _branch_convs(block, plan.block_size)
+            for i, (cin, cout, k, stride, pad) in enumerate(convs, start=1):
+                if order == "pre_act":
+                    h = _relu(g, f"{name}.relu{i}", _bn(g, f"{name}.bn{i}", h, cin, dtype))
+                h = _conv(g, f"{name}.conv{i}", h, cin, cout, k, stride, pad, seed, dtype)
+                if order == "post_act":
+                    h = _bn(g, f"{name}.bn{i}", h, cout, dtype)
+                    if i < len(convs):
+                        h = _relu(g, f"{name}.relu{i}", h)
+            identity = xs[-1] if block.shortcut is None else \
+                _project(g, block.shortcut, xs[-1], f"{name}.shortcut", seed, dtype)
+            terms = [identity, h] + [_project(g, ls.spec, xs[ls.src_block], lname, seed, dtype)
+                                     for lname, ls in levels.get(block.index, [])]
+            shape = g.by_id[h].shape
+            for t in terms:
+                if g.by_id[t].shape != shape:
+                    raise ConfigError(f"shortcut {t!r} shape {g.by_id[t].shape} does not match "
+                                      f"the branch of {name!r} {shape}")
+            add = g.add_node(f"{name}.add", "add", terms, {"block": block.index, "branch": h}, shape)
+            xs.append(_relu(g, f"{name}.relu_out", add.id) if order == "post_act" else add.id)
 
-    attach_level_shortcuts(g, plan, block_outputs, block_adds, seed, dtype)
-
+    out = xs[-1]
     if order == "pre_act":
-        out = _bn(g, "epilogue.bn", out, plan.feature_width, dtype)
-        out = _relu(g, "epilogue.relu", out)
+        out = _relu(g, "epilogue.relu", _bn(g, "epilogue.bn", out, plan.feature_width, dtype))
 
     g.add_node("head.gap", "gap", [out], {}, (plan.feature_width,))
     feat = plan.feature_width
@@ -487,12 +395,6 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
                (config.num_classes,))
     g.output_id = "head.fc"
     return g
-
-
-def _block_pos(plan: ResolvedPlan, block: BlockPlan) -> int:
-    """Position of the block within its own group, 1-based."""
-    offset = sum(grp.blocks for grp in plan.groups[:block.group - 1])
-    return block.index - offset
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +427,18 @@ def config_from_text(text: str) -> ArchConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
         try:
-            if key in ("depth", "width_k", "levels_m", "num_classes"):
-                kwargs[key] = int(value)
-            elif key == "sd_p_l":
-                kwargs[key] = float(value)
-            elif key == "blocks_per_group":
-                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            else:
-                kwargs[key] = value
+            kwargs[key] = parse_config_value(key, value)
         except ValueError:
             raise ConfigError(f"config line {lineno}: bad value for {key}: {value!r}") from None
     return ArchConfig(**kwargs)
+
+
+def parse_config_value(key: str, value: str):
+    """Convert one config value from text; raises ``ValueError`` on a bad value."""
+    if key in ("depth", "width_k", "levels_m", "num_classes"):
+        return int(value)
+    if key == "sd_p_l":
+        return float(value)
+    if key == "blocks_per_group":
+        return tuple(int(v) for v in value.split(",") if v.strip())
+    return value

@@ -69,7 +69,7 @@ def _add_arch_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _arch_config(args):
-    from .arch import ArchConfig, config_from_text
+    from .arch import ArchConfig, config_from_text, parse_config_value
 
     if args.config:
         arch_text, _ = _split_config_file(args.config)
@@ -89,7 +89,10 @@ def _arch_config(args):
         cfg.depth = args.depth
         cfg.blocks_per_group = None
     if args.blocks:
-        cfg.blocks_per_group = tuple(int(b) for b in args.blocks.split(","))
+        try:  # the flag and the config-file key share one parser
+            cfg.blocks_per_group = parse_config_value("blocks_per_group", args.blocks)
+        except ValueError as e:
+            raise ConfigError(f"--blocks: {e}") from None
         cfg.depth = None
     if args.width is not None:
         cfg.width_k = args.width

@@ -5,6 +5,7 @@ arithmetic (conv = cin*cout*k*k, BN affine = 2*channels, fc = feat*classes
 + classes) before the builder existed; they pin the construction exactly.
 """
 
+import hashlib
 import json
 import tracemalloc
 
@@ -53,13 +54,17 @@ class TestResolveConfig:
         plan = resolve_config(ArchConfig(depth=164, block_size="b333"))
         assert [g.blocks for g in plan.groups] == [18, 18, 18]
 
-    def test_invalid_depth_cites_rule(self):
-        with pytest.raises(ConfigError, match="6n\\+2"):
-            resolve_config(ArchConfig(depth=111))
-
-    def test_invalid_wide_depth_cites_rule(self):
-        with pytest.raises(ConfigError, match="6n\\+4"):
-            resolve_config(ArchConfig(depth=110, width_k=2))
+    @pytest.mark.parametrize("kwargs, rule", [
+        (dict(depth=111), "b33: depth must be 6n\\+2"),
+        (dict(depth=110, width_k=2), "wide \\(k>1\\) network: depth must be 6n\\+4"),
+        (dict(depth=30, block_size="b333"), "b333: depth must be 9n\\+2"),
+        (dict(family="imagenet", depth=50), "imagenet depth must be one of \\[18, 34, 101, 152\\]"),
+        (dict(blocks_per_group=(2, 0, 2)), "at least one positive entry"),
+        (dict(family="imagenet", blocks_per_group=(2, 0)), "at least one positive entry"),
+    ], ids=["b33", "wide", "b333", "imagenet", "cifar-zero-group", "imagenet-zero-group"])
+    def test_invalid_size_cites_rule(self, kwargs, rule):
+        with pytest.raises(ConfigError, match=rule):
+            resolve_config(ArchConfig(**kwargs))
 
     def test_group_strides(self):
         plan = resolve_config(ArchConfig(depth=20))
@@ -529,3 +534,80 @@ class TestConfigText:
             assert all(i in seen for i in rec["inputs"])
             seen.add(rec["id"])
         assert g.output_id in seen
+
+
+class TestGoldenBuild:
+    """The IR text and the initial state of every block variant, pinned by digest.
+
+    Any change to node names, node order, add inputs, attributes, parameter
+    names or initial values changes a digest. Refresh the table only for a
+    deliberate change to what ``build`` emits.
+    """
+
+    GOLDEN = [
+        (dict(depth=20, levels_m=1),
+         "bbc4a4fa97bd07f4443b6724261e0dbcf9d3d2499260e7dc39867b9b2a490390",
+         "ace32cc7723b354f1c2eae2218c5627fcf4e2d7c9193f1d250fd20f902a6a7a2"),
+        (dict(depth=20, levels_m=2),
+         "cec0f5347fa17248896c8141424a295db5be4f7b0f422a1c1d160d9a7a9b4713",
+         "a4e0d306451d7ca855b2a3cf6ac6757c44a0d76136b2d67e8331c7d04cd84972"),
+        (dict(depth=20, levels_m=3),
+         "b132fd24db79093e3c3b2e0f24c47d53139dd7657606eabcdb715cf7e706c34e",
+         "607a9773d55f311ff2e3291dc295f33bbf7f07ad1964fd1d58038ca3abc48e49"),
+        (dict(depth=26, levels_m=4),
+         "2b0f4bd50efc73fa7a6743e4e7fa2da1a3e423d31cb79ec01207c8625850c211",
+         "d455365800d3abcee862cf8c2ca171262bb5606b58c19a96eebb5ae33dd6b4f3"),
+        (dict(depth=20, levels_m=3, block_order="pre_act"),
+         "0822237fffdce8798c054af78d2059893564cad2c7085f7f257855b1da525c8e",
+         "c9c17f0728d77e4643d992df70b6b2717622dba25b0753121052ad4e1ce213e0"),
+        (dict(depth=26, levels_m=4, block_order="pre_act"),
+         "508da8dc3d380bf3bf3af3878182a7dba0e31b453d5001c3971d5f82ce6d99b3",
+         "a69bc9b6a9ab6eba03b684ebeed6ef7c35229984bf4ed3ee84fd680d595c7580"),
+        (dict(depth=29, block_size="b333", levels_m=3),
+         "90ae5687824f8f6ed1cfd1044d66bfab8290dd27aa0277fc0b549c305ca64314",
+         "bf05cbd368570453ced2a479ec52671e98bf1d903a170d58d046da92daf82c61"),
+        (dict(depth=29, block_size="b333", levels_m=3, block_order="pre_act"),
+         "9287979067d967939254907c17a959f3782a4db9c26fa89fdf05bd1e3a00e26b",
+         "bede50a2711810dbd2b37d1f9bf5fd9e14bd94c61e870ceb56a3f15460012630"),
+        (dict(depth=16, width_k=2, levels_m=3, block_order="pre_act"),
+         "8fbe952ed5ccf7e6a79eaeb6aef0a7da034104d55505699bad6d9ba8eba21131",
+         "518cf19f014d2b41639ce45d8b39bb37d8ab75d29c9cec35155182a5e4c906ae"),
+        (dict(depth=20, levels_m=3, final_shortcut="A"),
+         "eb04e7fb829592f1852a953e41204b0515289aec0fae228e6324fe0263396ce5",
+         "3fcb25a63294c67a5c0be764846ac8ea25590b8e9c848e1ae1a13564d70cae51"),
+        (dict(depth=20, levels_m=3, upper_shortcut="A"),
+         "fd00a9f9da0b807628fc3d9ae24285f25df8ef21e8879691b65a96cc04f93f02",
+         "ace32cc7723b354f1c2eae2218c5627fcf4e2d7c9193f1d250fd20f902a6a7a2"),
+        (dict(depth=20, levels_m=3, block_order="pre_act", final_shortcut="A", upper_shortcut="A"),
+         "088a65801436dae6c23ccc0831a97a4b854bc0ea90c9bc9934a609e192c1faf1",
+         "498510de328a0346902531a3adfb13508ae3f26666dd3051823b91417378df7a"),
+        (dict(blocks_per_group=(1, 2, 4), levels_m=3),
+         "bf7b835181ae010e097425924f3bf8bd93ea65051dff2c975c04b66c0e9fed80",
+         "3716df5864c08cbed9ead54cff78de7de303fbe4ae09aafe966fe8d9f1723775"),
+        (dict(blocks_per_group=(4, 4), levels_m=4, block_order="pre_act"),
+         "cefe80ed8b948935cb6ef6962ec1cedf60d138014f4921a53be8fbcdc3d88634",
+         "50113c28e8cf4035c16c0f7f57fa26bd34ebf51d7243d27ec5690d7c598638da"),
+        (dict(family="imagenet", depth=18, levels_m=3),
+         "6557c035822aa861bafb04a9e2d29ca5ad0af0e8f13805181bdae25f314a5cbb",
+         "be45be8c2fcbcfbb6781b6152bc5ba40a4476d7a65d7169a0e295a5726f7588a"),
+        (dict(family="imagenet", depth=18, levels_m=3, block_order="pre_act"),
+         "cc281e0e0a5b9f54fda008b5fc37a0b1b5d080979f2f2bf4880f07e234a28225",
+         "af7e2eae0510e7d537cf81d69681e1f1ddd1ce667604fb276b8a904a81b22aab"),
+        (dict(family="imagenet", depth=101, levels_m=3),
+         "4d5fb7868d6836bd275160574f2f5d9d690f1d178959bc17d033c2c486795d89",
+         "8fe9f4b110d6b5441bcbc14f7e0e54c588e0802d44cd77716c0aa12555ab27b7"),
+        (dict(family="imagenet", depth=101, levels_m=3, block_order="pre_act"),
+         "c9a075a896e5309ad716416ff1d7e88d48e4bb5c93071f4c26bfc17638297ac1",
+         "bf8258acb3d0ac8231f8f825ef10bbc660a246c3445d927fba8fd2f0b89f17fe"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, ir_digest, state_digest", GOLDEN, ids=[
+        ",".join(f"{k}={v}" for k, v in kwargs.items()).replace(" ", "") for kwargs, _, _ in GOLDEN])
+    def test_build_is_bitwise_pinned(self, kwargs, ir_digest, state_digest):
+        g = build(ArchConfig(**kwargs), seed=5)
+        assert hashlib.sha256(g.to_jsonl().encode()).hexdigest() == ir_digest
+        h = hashlib.sha256()
+        for name, arr in g.state_dict().items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == state_digest

@@ -250,7 +250,9 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("flags, named", [(("--milestones", "1,x"), "--milestones"),
                                               (("--milestones", "1.5"), "--milestones"),
                                               (("--lr", "nan"), "finite"),
-                                              (("--weight-decay", "inf"), "finite")])
+                                              (("--weight-decay", "inf"), "finite"),
+                                              (("--blocks", "1,x"), "--blocks"),
+                                              (("--blocks", "a"), "--blocks")])
     def test_bad_training_flag_is_config_error(self, capsys, tmp_path, flags, named):
         code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "8",
                                "--classes", "4", "--blocks", "1,1,1", "--epochs", "2",
