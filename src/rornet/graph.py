@@ -170,6 +170,9 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     value it consumes once and last, unless a vjp reads that value
     (``_READS_INPUT``), it is the input or captured, or an addition whose
     branch is dropped passes it through: the training tape shares buffers.
+    Each tensor a node creates carries the node's id (``Tensor.node``), which
+    makes the training tape single-use: :func:`rornet.tensor.backward` frees
+    it as it sweeps, and names the node when a gradient is non-finite.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -219,9 +222,12 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     with T.no_tape() if mode == "eval" else contextlib.nullcontext():
         for node in run:
             try:
-                vals[node.id] = _eval_node(graph, node, vals, xt, mode, dropped, schedule, lent)
+                t = _eval_node(graph, node, vals, xt, mode, dropped, schedule, lent)
             except NumericError as e:
-                raise NumericError(f"{e} (at node {node.id!r})") from e
+                raise NumericError(f"{e} (at node {node.id!r}, in forward)") from e
+            if t.node is None:  # not an addition passing a term on
+                t.node = node.id
+            vals[node.id] = t
             if node.id in capture:
                 captured[node.id] = vals[node.id].data
             for i in node.inputs:

@@ -14,15 +14,18 @@ Conventions:
     not depend on the thread count,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
-  * every op validates that its output is finite and raises
-    :class:`NumericError` otherwise, so NaN/Inf never propagate silently,
+  * every op validates that its output is finite, and :func:`backward`
+    every vjp output, raising :class:`NumericError` otherwise, so NaN/Inf
+    never propagate silently,
   * :func:`relu` and :func:`add_n` can write into an input's buffer
-    (``out=``); the graph executor lends them buffers that no vjp reads.
+    (``out=``); the graph executor lends them buffers that no vjp reads,
+    and :func:`backward` frees the tape it builds as it sweeps.
 """
 
 from __future__ import annotations
 
 import ctypes
+import inspect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -73,15 +76,20 @@ class Tensor:
     """A dense n-dimensional array that can participate in the gradient tape.
 
     ``grad`` accumulates across repeated backward passes; callers reset it
-    explicitly (the optimizer does this after each step).
+    explicitly (the optimizer does this after each step). ``node`` is the id
+    of the graph node that made the tensor, set by :func:`rornet.graph.forward`
+    (None op by op). Those marks make a single-use tape that :func:`backward`
+    owns and releases as it sweeps; a tape made op by op belongs to its
+    caller and can be swept again.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self.node: Optional[str] = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
 
@@ -213,16 +221,19 @@ def _phase_flat(x: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
 def _unphase(flat: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
              grid: tuple[int, int], shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`_phase_flat`: phase rows back onto the (N, C, H, W)
-    input grid, padding dropped. Pixels no phase holds are zero; at stride 1
-    every pixel is held."""
+    input grid, padding dropped. Pixels no phase holds are zero; at stride 1,
+    and wherever P = stride, every pixel is held."""
     n, c, h, w = shape
     (ph, pw), (hq, wq) = phases, grid
     gq = flat.reshape(n, hq, wq, ph, pw, c)
-    out = (np.empty if stride == 1 else np.zeros)(shape, dtype=flat.dtype)
-    for a in range(ph):
-        rq, rx = _phase_axis(a, stride, pad, h, hq)
-        for b in range(pw):
-            cq, cx = _phase_axis(b, stride, pad, w, wq)
+    rows = [_phase_axis(a, stride, pad, h, hq) for a in range(ph)]
+    cols = [_phase_axis(b, stride, pad, w, wq) for b in range(pw)]
+    # phases hold disjoint pixels, one per phase position: when their counts
+    # add up to the input extent on both axes, every pixel is written
+    held = sum(q.stop - q.start for q, _ in rows) == h and sum(q.stop - q.start for q, _ in cols) == w
+    out = (np.empty if held else np.zeros)(shape, dtype=flat.dtype)
+    for a, (rq, rx) in enumerate(rows):
+        for b, (cq, cx) in enumerate(cols):
             out[:, :, rx, cx] = gq[:, rq, cq, a, b].transpose(0, 3, 1, 2)
     return out
 
@@ -636,16 +647,33 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # backward sweep
 # ---------------------------------------------------------------------------
 
+def _released(g: np.ndarray):
+    raise NumericError("its tape was released by an earlier backward")
+
+
+def _op_name(vjp) -> str:
+    """The op that recorded ``vjp``: every op defines its vjp inside itself."""
+    return inspect.unwrap(vjp).__qualname__.split(".")[0]
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf tensor (Parameters) reachable from ``loss``.
 
-    Repeated calls without clearing grads accumulate; a leaf that does not
-    feed the loss keeps ``grad`` as None. Traversal is iterative, so very
-    deep tapes do not hit the recursion limit.
+    A leaf that does not feed the loss keeps ``grad`` as None. Traversal is
+    iterative, so very deep tapes do not hit the recursion limit. A
+    non-finite vjp output raises :class:`NumericError` naming the graph node
+    (the op, on a tape made op by op) and the phase.
+
+    Once a node ``graph.forward`` marked has run its vjp, the sweep drops its
+    parents and vjp, so each activation is freed when nothing later in the
+    sweep reads it; a second call that reaches a released node raises
+    :class:`NumericError` naming it. A tape made op by op stays whole, and
+    repeated calls without clearing grads accumulate.
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    # iterative post-order DFS; reversed, it visits every node before its parents
+    # iterative post-order DFS; popped from the end, it yields every node
+    # before its parents
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -664,7 +692,8 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()  # grads whose buffer this sweep allocated
-    for node in reversed(order):
+    while order:
+        node = order.pop()  # the sweep's own reference goes with it
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -672,19 +701,27 @@ def backward(loss: Tensor) -> None:
             if node.requires_grad:
                 node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            pg = pg.reshape(parent.data.shape)
-            key = id(parent)
-            if key not in grads:
-                grads[key] = pg
-            elif key in owned:
-                grads[key] += pg
-            else:
-                # a vjp's array may be shared with other parents or read-only
-                grads[key] = grads[key] + pg
-                owned.add(key)
+        try:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if pg is not g:  # a gradient passed on unchanged was checked where it was made
+                    _check_finite(pg, "a vjp")
+                pg = pg.reshape(parent.data.shape)
+                key = id(parent)
+                if key not in grads:
+                    grads[key] = pg
+                elif key in owned:
+                    grads[key] += pg
+                else:
+                    # a vjp's array may be shared with other parents or read-only
+                    grads[key] = grads[key] + pg
+                    owned.add(key)
+        except NumericError as e:
+            where = f"node {node.node!r}" if node.node is not None else f"op {_op_name(node._vjp)!r}"
+            raise NumericError(f"{e} (at {where}, in backward)") from e
+        if node.node is not None:
+            node._parents, node._vjp = (), _released
 
 
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,

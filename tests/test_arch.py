@@ -7,6 +7,7 @@ arithmetic (conv = cin*cout*k*k, BN affine = 2*channels, fc = feat*classes
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -419,6 +420,48 @@ class TestTrainTape:
             tracemalloc.stop()
         assert out.requires_grad
         assert kept <= 0.65 * node_bytes
+
+    def test_backward_frees_the_tape(self, rng):
+        # the sweep drops each node once its vjp has run: with the loss and
+        # logits still held, only the parameter gradients stay behind
+        g = build(ArchConfig(depth=20, levels_m=3))
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            logits = forward(g, x, mode="train")
+            loss = softmax_cross_entropy(logits, np.arange(8) % 10)
+            added = tracemalloc.get_traced_memory()[0] - base
+            backward(loss)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.tensor.grad.nbytes for p in g.parameters())
+        assert logits.data.shape == (8, 10) and loss.data.size == 1
+        assert kept - grads < 0.1 * added
+
+    def test_a_released_tape_cannot_be_swept_again(self, rng):
+        g = build(ArchConfig(blocks_per_group=(1, 1, 1), levels_m=3))
+        x = rng.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        logits = forward(g, x, mode="train")
+        loss = softmax_cross_entropy(logits, np.arange(4))
+        backward(loss)
+        grads = {p.name: p.tensor.grad.copy() for p in g.parameters()}
+        with pytest.raises(NumericError, match=re.escape(f"at node {g.output_id!r}, in backward")):
+            backward(loss)
+        assert logits.grad is None  # not taken for a leaf
+        for p in g.parameters():
+            assert p.tensor.grad.tobytes() == grads[p.name].tobytes(), p.name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_names_its_node(self, rng):
+        g = build(ArchConfig(blocks_per_group=(1, 1, 1), levels_m=3))
+        x = rng.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        logits = forward(g, x, mode="train")
+        bn = [n for n in g.nodes if n.op == "bn"][3]
+        g.bn[bn.attrs["state"]].gamma.data[0] = np.inf  # after the forward: only the vjp sees it
+        with pytest.raises(NumericError, match=re.escape(f"at node {bn.id!r}, in backward")):
+            backward(softmax_cross_entropy(logits, np.arange(4)))
 
 
 def run_step(g, x, labels, gates, capture):

@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rornet
@@ -276,6 +277,22 @@ class TestTrainEvalCommands:
                                "--batch-size", "16", "--lr", "1e18",
                                "--out-dir", str(tmp_path / "d"))
         assert code == 4
+
+    def test_non_finite_gradient_names_its_node(self, capsys, tmp_path, monkeypatch):
+        # a pooling vjp that returns inf: backward stops at the node that made it
+        pool = T.global_avg_pool
+
+        def poisoned(x):
+            out = pool(x)
+            out._vjp = lambda g: (np.full(x.shape, np.inf, dtype=x.dtype),)
+            return out
+
+        monkeypatch.setattr(T, "global_avg_pool", poisoned)
+        code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "32",
+                               "--classes", "4", "--blocks", "1,1,1", "--epochs", "1",
+                               "--batch-size", "16", "--out-dir", str(tmp_path / "d"))
+        assert code == 4
+        assert "at node 'head.gap', in backward" in err
 
 
 class TestPlotCommand:

@@ -91,6 +91,18 @@ class TestConv2d:
                                  [rng.normal(size=x_shape), rng.normal(size=w_shape)])
             assert err < 1e-4
 
+    def test_strided_1x1_grad_x_is_zero_where_no_phase_holds(self, rng):
+        # stride 2 with one phase per axis reads only the even pixels, so the
+        # grad-x scatter must zero the rest; a 3x3 stride-2 conv holds every pixel
+        x = T.Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(4, 3, 1, 1)), requires_grad=True)
+        T.backward(T.reduce_sum(T.conv2d(x, w, stride=2, padding=0)))
+        held = np.zeros(x.shape, dtype=bool)
+        held[:, :, ::2, ::2] = True
+        assert (x.grad[~held] == 0).all()
+        np.testing.assert_allclose(x.grad[held].reshape(2, 3, -1),
+                                   np.broadcast_to(w.data.sum(axis=0).reshape(1, 3, 1), (2, 3, 12)))
+
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self, rng):
@@ -419,6 +431,16 @@ class TestBackward:
         T.backward(loss)
         T.backward(loss)
         np.testing.assert_array_equal(w.grad, 2 * np.ones(4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_names_the_op(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        w = T.Tensor(np.ones((4, 3)), requires_grad=True)
+        loss = T.reduce_sum(T.linear(x, w, T.Tensor(np.zeros(4))))
+        w.data[0, 0] = np.inf  # after the forward: only the vjp sees it
+        with pytest.raises(NumericError, match="at op 'linear', in backward"):
+            T.backward(loss)
+        assert x.grad is None and w.grad is None
 
     def test_nonscalar_rejected(self, rng):
         w = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
