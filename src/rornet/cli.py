@@ -457,8 +457,12 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
+    import numpy as np  # after the thread setting, which numpy reads as it loads
+
     try:
-        return args.func(args)
+        # rornet's own finite checks raise; numpy's warnings would only come first
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -168,8 +168,14 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     records no tape, so each activation is freed after its last consumer.
     In both modes a relu or addition writes its result into the buffer of a
     value it consumes once and last, unless a vjp reads that value
-    (``_READS_INPUT``), it is the input or captured, or an addition whose
-    branch is dropped passes it through: the training tape shares buffers.
+    (``_READS_INPUT``, ``_READS_OUTPUT``), it is the input or captured, or an
+    addition whose branch is dropped passes it through: the training tape
+    shares buffers. In train mode the same tables decide what the tape
+    drops at its last consumer: a value no vjp reads, and a value a vjp
+    reads that the tape can rebuild (``Tensor._rebuild``: a batch norm
+    output, or a ReLU of one). Its ``data`` becomes a
+    :func:`rornet.tensor.placeholder`. The input, captured values, the
+    output and values an addition passes through stay whole.
     Each tensor a node creates carries the node's id (``Tensor.node``), which
     makes the training tape single-use: :func:`rornet.tensor.backward` frees
     it as it sweeps, and names the node when a gradient is non-finite.
@@ -205,16 +211,18 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     capture = set(capture or ())
     run = [node for node in graph.nodes if node.id in active]
     last_use: dict[str, str] = {}
-    lendable = active - capture - {graph.input_id}
+    whole = capture | {graph.input_id}  # never written into, nor dropped from the tape
+    read: set[str] = set()  # values a vjp reads
     for node in run:
-        # an addition whose branch is dropped may return its one term itself
-        passes = node.op == "add" and node.attrs.get("block") in dropped
-        if node.op in _READS_OUTPUT or passes:
-            lendable.discard(node.id)
-        if node.op in _READS_INPUT or passes:
-            lendable.difference_update(node.inputs)
+        if node.op == "add" and node.attrs.get("block") in dropped:
+            whole.update([node.id, *node.inputs])  # it may return its one term itself
+        if node.op in _READS_OUTPUT:
+            read.add(node.id)
+        if node.op in _READS_INPUT:
+            read.update(node.inputs)
         for i in node.inputs:
             last_use[i] = node.id
+    lendable = active - whole - read
     lent = {i: c for i, c in last_use.items() if i in lendable and graph.by_id[c].inputs.count(i) == 1}
 
     captured: dict[str, np.ndarray] = {}
@@ -231,8 +239,13 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
             if node.id in capture:
                 captured[node.id] = vals[node.id].data
             for i in node.inputs:
-                if last_use.get(i) == node.id:
-                    vals.pop(i, None)
+                if last_use.get(i) != node.id or i not in vals:
+                    continue
+                t = vals.pop(i)
+                if i in lendable and mode == "train":  # no vjp reads it
+                    t.data, t._rebuild = T.placeholder(t.data), None
+                elif i not in whole and t._rebuild is not None:  # a vjp reads it; backward rebuilds it
+                    t.data = T.placeholder(t.data)
     out = vals[graph.output_id]
     if capture:
         return out, captured

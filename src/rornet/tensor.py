@@ -19,7 +19,12 @@ Conventions:
     never propagate silently,
   * :func:`relu` and :func:`add_n` can write into an input's buffer
     (``out=``); the graph executor lends them buffers that no vjp reads,
-    and :func:`backward` frees the tape it builds as it sweeps.
+    and :func:`backward` frees the tape it builds as it sweeps,
+  * the graph executor also drops values from its training tape: what no
+    vjp reads, and what :func:`backward` can rebuild (a train-mode batch
+    norm output, or a ReLU of one). A dropped value's ``data`` becomes a
+    :func:`placeholder`, and :func:`backward` rebuilds a value just before
+    a vjp that may read it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import ctypes
 import inspect
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from functools import lru_cache
@@ -54,6 +60,7 @@ __all__ = [
     "backward",
     "he_init",
     "no_tape",
+    "placeholder",
     "worker_count",
 ]
 
@@ -81,9 +88,15 @@ class Tensor:
     (None op by op). Those marks make a single-use tape that :func:`backward`
     owns and releases as it sweeps; a tape made op by op belongs to its
     caller and can be swept again.
+
+    ``_rebuild``, set on a taped output that is cheap to recompute from what
+    the tape keeps anyway (train-mode :func:`batch_norm`, and a :func:`relu`
+    of such a value), returns that output again. When the graph executor
+    drops the value, ``data`` becomes a :func:`placeholder` and
+    :func:`backward` calls ``_rebuild`` before a vjp that may read it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -92,6 +105,7 @@ class Tensor:
         self.node: Optional[str] = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
+        self._rebuild: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -161,13 +175,22 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by {op}")
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp, rebuild=None) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data, requires_grad=_taping and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
+        out._rebuild = rebuild
     return out
+
+
+def placeholder(arr: np.ndarray) -> np.ndarray:
+    """The ``data`` of a dropped value: a read-only zero-stride view of a NaN
+    scalar with ``arr``'s shape and dtype. It holds no buffer. Arithmetic on
+    a stray read gives NaN, which the finite checks catch where zeros would
+    slip through; a comparison such as ReLU's mask turns NaN into False."""
+    return np.broadcast_to(np.array(np.nan, dtype=arr.dtype), arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +434,9 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
     a batch's statistics reproduces that batch's train-mode output to
     rounding. Reductions run over an (N, C, H*W) view, along H*W first. The
     tape keeps only the per-channel mean and inverse std: the backward
-    rebuilds the normalized input from ``x``.
+    rebuilds the normalized input from ``x``. A train-mode output can be
+    rebuilt too (``Tensor._rebuild``), by the same arithmetic from ``x`` and
+    the forward-time scale and shift, unless ``x`` can itself be dropped.
     """
     x = _as_tensor(x)
     if mode not in ("train", "eval"):
@@ -440,14 +465,22 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
         state.running_mean = ((1.0 - mom) * state.running_mean + mom * mean).astype(x.dtype)
         state.running_var = ((1.0 - mom) * state.running_var + mom * var).astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        out *= (gamma.data * inv_std)[:, None]
-        out += beta.data[:, None]
+        scale, shift = gamma.data * inv_std, beta.data.copy()
+
+        def affine(xc: np.ndarray) -> np.ndarray:
+            xc *= scale[:, None]
+            xc += shift[:, None]
+            return xc.reshape(n, c, h, w)
+
+        out = affine(out)
+        rebuild = None if x._rebuild is not None else lambda: affine(centered())
     else:
         mean = state.running_mean
         inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
         a = gamma.data * inv_std
         out = x.data.reshape(n, c, h * w) * a[:, None]
         out += (beta.data - mean * a)[:, None]
+        rebuild = None
 
     def vjp(g: np.ndarray):
         g = g.reshape(n, c, h * w)
@@ -466,19 +499,27 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
             gx = xc
         return gx, ggamma, gbeta
 
-    return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp)
+    return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp, rebuild)
 
 
 def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     """Elementwise max(0, x). The subgradient at exactly zero is zero. The vjp
-    masks by the output, so ``out`` may be the buffer of ``x``."""
+    masks by the output, so ``out`` may be the buffer of ``x``; it reads the
+    result through a weak reference, so it sees a rebuilt value and makes no
+    reference cycle. When ``x`` can be rebuilt, so can the result."""
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0, out=out)
+    src = x._rebuild
 
     def vjp(g: np.ndarray):
-        return (g * (out > 0),)
+        return (g * (result().data > 0),)
 
-    return _make(out, "relu", (x,), vjp)
+    def rebuild() -> np.ndarray:
+        y = src()
+        return np.maximum(y, 0, out=y)
+
+    y = _make(np.maximum(x.data, 0, out=out), "relu", (x,), vjp, rebuild if src is not None else None)
+    result = weakref.ref(y)
+    return y
 
 
 def add_n(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
@@ -665,10 +706,16 @@ def backward(loss: Tensor) -> None:
     (the op, on a tape made op by op) and the phase.
 
     Once a node ``graph.forward`` marked has run its vjp, the sweep drops its
-    parents and vjp, so each activation is freed when nothing later in the
-    sweep reads it; a second call that reaches a released node raises
+    parents, vjp and rebuild, so each activation is freed when nothing later
+    in the sweep reads it; a second call that reaches a released node raises
     :class:`NumericError` naming it. A tape made op by op stays whole, and
     repeated calls without clearing grads accumulate.
+
+    ``graph.forward`` leaves a :func:`placeholder` with a ``_rebuild`` only on
+    values that some vjp reads. The sweep rebuilds such a value just before
+    the first vjp that may read it: the value's own (a ReLU reads its
+    output) or that of a node whose first input it is (conv, batch norm and
+    linear read their input). Node release frees the rebuilt array.
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -701,6 +748,9 @@ def backward(loss: Tensor) -> None:
             if node.requires_grad:
                 node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
+        for t in (node,) + node._parents[:1]:
+            if t._rebuild is not None and not t.data.flags.writeable:  # a placeholder
+                t.data, t._rebuild = t._rebuild(), None
         try:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
@@ -721,7 +771,7 @@ def backward(loss: Tensor) -> None:
             where = f"node {node.node!r}" if node.node is not None else f"op {_op_name(node._vjp)!r}"
             raise NumericError(f"{e} (at {where}, in backward)") from e
         if node.node is not None:
-            node._parents, node._vjp = (), _released
+            node._parents, node._vjp, node._rebuild = (), _released, None
 
 
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,

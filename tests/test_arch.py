@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
 from rornet.exceptions import ConfigError, NumericError
 from rornet.graph import Graph, forward
 from rornet.stochastic_depth import GateVector, survival_schedule
-from rornet.tensor import backward, softmax_cross_entropy
+from rornet.tensor import Tensor, backward, relu, softmax_cross_entropy
 
 
 def zero_level_params(graph):
@@ -462,6 +463,88 @@ class TestTrainTape:
         g.bn[bn.attrs["state"]].gamma.data[0] = np.inf  # after the forward: only the vjp sees it
         with pytest.raises(NumericError, match=re.escape(f"at node {bn.id!r}, in backward")):
             backward(softmax_cross_entropy(logits, np.arange(4)))
+
+    @pytest.mark.parametrize("order, bound", [("post_act", 0.45), ("pre_act", 0.32)])
+    def test_lean_tape_keeps_what_it_cannot_rebuild(self, rng, order, bound):
+        # a post-act block keeps 3 of its 4 saved activations, a pre-act block
+        # 2 of 4: the rest are ReLUs of batch norms, rebuilt on backward
+        g = build(ArchConfig(depth=20, levels_m=3, block_order=order))
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        node_bytes = sum(8 * int(np.prod(n.shape)) * 4 for n in g.nodes if n.op != "input")
+        tracemalloc.start()
+        try:
+            out = forward(g, x, mode="train")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert kept <= bound * node_bytes
+
+    @pytest.mark.parametrize("order", ["post_act", "pre_act"])
+    def test_rebuilt_values_match_a_run_that_keeps_them(self, rng, order):
+        cfg = ArchConfig(depth=20, levels_m=3, block_order=order)
+        g, ref = build(cfg), build(cfg)
+        x = rng.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        _, want = forward(ref, x, mode="train", capture=[n.id for n in ref.nodes])
+        loss = softmax_cross_entropy(forward(g, x, mode="train"), np.arange(4))
+        rebuilt, seen, stack = {}, set(), [loss]
+
+        def recorded(rebuild, nid):
+            return lambda: rebuilt.setdefault(nid, rebuild())
+
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t._parents)
+                if t._rebuild is not None and not t.data.flags.writeable:
+                    assert np.isnan(t.data).all() and t.data.shape == want[t.node].shape
+                    t._rebuild = recorded(t._rebuild, t.node)
+        backward(loss)
+        # what is rebuilt is exactly the ReLUs of batch norms
+        relus_of_bn = {n.id for n in g.nodes if n.op == "relu" and g.by_id[n.inputs[0]].op == "bn"}
+        assert rebuilt.keys() == relus_of_bn
+        for nid, arr in rebuilt.items():
+            assert arr.tobytes() == want[nid].tobytes(), nid
+
+    def test_a_batch_norm_of_a_droppable_value_is_kept(self, rng):
+        # r1 is dropped and rebuilt only when b2's vjp reads it, after r2's
+        # vjp: r2 can be rebuilt only if b2 cannot, or r2 would read r1's NaNs
+        g = Graph("cifar", (3, 8, 8), meta={"dtype": np.float64, "num_blocks": 0})
+        g.input_id, g.output_id = "input", "fc"
+        g.add_param("c0.w", rng.normal(size=(4, 3, 3, 3)))
+        g.add_param("fc.w", rng.normal(size=(2, 4)))
+        g.add_param("fc.b", np.zeros(2))
+        for name in ("b1", "b2"):
+            g.add_bn_state(name, 4, np.float64)
+        for nid, op, inputs, attrs in [
+                ("input", "input", [], {}),
+                ("c0", "conv", ["input"], {"param": "c0.w", "stride": 1, "padding": 1}),
+                ("b1", "bn", ["c0"], {"state": "b1"}),
+                ("r1", "relu", ["b1"], {}),
+                ("b2", "bn", ["r1"], {"state": "b2"}),
+                ("r2", "relu", ["b2"], {}),
+                ("gap", "gap", ["r2"], {}),
+                ("fc", "linear", ["gap"], {"weight": "fc.w", "bias": "fc.b"})]:
+            g.add_node(nid, op, inputs, attrs)
+        x = rng.normal(size=(2, 3, 8, 8))
+        grads = []
+        for capture in (None, [n.id for n in g.nodes]):
+            got = forward(g, x, mode="train", capture=capture)
+            backward(softmax_cross_entropy(got[0] if capture else got, np.array([0, 1])))
+            grads.append({p.name: p.tensor.grad for p in g.parameters()})
+            for p in g.parameters():
+                p.tensor.grad = None
+        for name, grad in grads[1].items():
+            assert grads[0][name].tobytes() == grad.tobytes(), name
+
+    def test_an_op_by_op_relu_makes_no_reference_cycle(self):
+        # the vjp reads the output through a weak reference
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        y = relu(x)
+        ref = weakref.ref(y)
+        del y
+        assert ref() is None  # freed by reference counting alone
 
 
 def run_step(g, x, labels, gates, capture):

@@ -278,6 +278,20 @@ class TestTrainEvalCommands:
                                "--out-dir", str(tmp_path / "d"))
         assert code == 4
 
+    def test_divergence_prints_only_the_clean_message(self, tmp_path):
+        # a fresh process, where no warning filter of the test run applies
+        env = dict(os.environ)
+        src = str(Path(rornet.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "rornet.cli", "train", "--synthetic", "--samples", "32",
+             "--classes", "4", "--blocks", "1,1,1", "--epochs", "4", "--batch-size", "16",
+             "--lr", "1e18", "--out-dir", str(tmp_path / "d")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 4
+        assert "numeric failure:" in done.stderr and "(at node '" in done.stderr
+        assert "Warning" not in done.stderr
+
     def test_non_finite_gradient_names_its_node(self, capsys, tmp_path, monkeypatch):
         # a pooling vjp that returns inf: backward stops at the node that made it
         pool = T.global_avg_pool
