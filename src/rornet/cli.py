@@ -30,6 +30,8 @@ _TRAIN_FILE_KEYS = {
     "batch_size": int, "max_epochs": int, "pad_crop": _bool, "hflip": _bool, "seed": int,
     "milestones": lambda v: tuple(int(m) for m in v.split(",") if m.strip()),
 }
+# rornet train's defaults where TrainConfig's (the paper's schedule) differ; hflip follows pad_crop
+_TRAIN_DEFAULTS = {"milestones": (), "max_epochs": 30, "pad_crop": False}
 
 
 def _split_config_file(path):
@@ -51,65 +53,45 @@ def _split_config_file(path):
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
+    # each flag but --wrn and --config keeps its value under the ArchConfig field it sets
     p.add_argument("--config", help="flat key=value config file (architecture and training keys)")
     p.add_argument("--family", choices=["cifar", "imagenet"])
     p.add_argument("--depth", type=int, help="layer count (6n+2; 6n+4 for wide variants)")
-    p.add_argument("--blocks", help="comma-separated blocks per group, e.g. 2,2,2")
+    p.add_argument("--blocks", dest="blocks_per_group", help="comma-separated blocks per group, e.g. 2,2,2")
     p.add_argument("--wrn", type=int, metavar="DEPTH",
                    help="wide variant named WRN-DEPTH-k; implies pre-activation order")
-    p.add_argument("--width", type=int, help="width multiplier k")
-    p.add_argument("--levels", type=int, help="number of shortcut levels m")
-    p.add_argument("--order", choices=["post_act", "pre_act"])
+    p.add_argument("--width", dest="width_k", type=int, help="width multiplier k")
+    p.add_argument("--levels", dest="levels_m", type=int, help="number of shortcut levels m")
+    p.add_argument("--order", dest="block_order", choices=["post_act", "pre_act"])
     p.add_argument("--block-size", choices=["b33", "b333", "bottleneck"])
-    p.add_argument("--final-type", choices=["A", "B"], help="final-level shortcut type")
-    p.add_argument("--upper-type", choices=["A", "B"], help="root/middle shortcut type")
-    p.add_argument("--classes", type=int, help="number of output classes")
-    p.add_argument("--sd-pl", type=float, help="terminal survival probability for drop-path")
+    p.add_argument("--final-type", dest="final_shortcut", choices=["A", "B"], help="final-level shortcut type")
+    p.add_argument("--upper-type", dest="upper_shortcut", choices=["A", "B"], help="root/middle shortcut type")
+    p.add_argument("--classes", dest="num_classes", type=int, help="number of output classes")
+    p.add_argument("--sd-pl", dest="sd_p_l", type=float, help="terminal survival probability for drop-path")
     p.add_argument("--seed", type=int, help="default 0")
 
 
 def _arch_config(args):
-    from .arch import ArchConfig, config_from_text, parse_config_value
+    from .arch import _CONFIG_KEYS, ArchConfig, config_from_text, parse_config_value
 
-    if args.config:
-        arch_text, _ = _split_config_file(args.config)
-        cfg = config_from_text(arch_text)
-    else:
-        cfg = ArchConfig()
-        cfg.depth = None  # flags must supply a size
+    cfg = config_from_text(_split_config_file(args.config)[0]) if args.config else ArchConfig()
     if args.wrn is not None:
-        cfg.depth = args.wrn
-        cfg.blocks_per_group = None
-        cfg.block_order = "pre_act"
-        if args.width is None and cfg.width_k == 1:
+        cfg.depth, cfg.blocks_per_group, cfg.block_order = args.wrn, None, "pre_act"
+        if args.width_k is None and cfg.width_k == 1:
             raise ConfigError("--wrn needs --width (the k multiplier)")
-    if args.family:
-        cfg.family = args.family
-    if args.depth is not None:
-        cfg.depth = args.depth
-        cfg.blocks_per_group = None
-    if args.blocks:
-        try:  # the flag and the config-file key share one parser
-            cfg.blocks_per_group = parse_config_value("blocks_per_group", args.blocks)
-        except ValueError as e:
-            raise ConfigError(f"--blocks: {e}") from None
-        cfg.depth = None
-    if args.width is not None:
-        cfg.width_k = args.width
-    if args.levels is not None:
-        cfg.levels_m = args.levels
-    if args.order:
-        cfg.block_order = args.order
-    if args.block_size:
-        cfg.block_size = args.block_size
-    if args.final_type:
-        cfg.final_shortcut = args.final_type
-    if args.upper_type:
-        cfg.upper_shortcut = args.upper_type
-    if args.classes is not None:
-        cfg.num_classes = args.classes
-    if args.sd_pl is not None:
-        cfg.sd_p_l = args.sd_pl
+    for key in _CONFIG_KEYS:  # in field order, so --blocks overrides --depth
+        value = getattr(args, key)
+        if value in (None, ""):  # an empty flag value leaves the setting alone
+            continue
+        if key == "depth":
+            cfg.blocks_per_group = None
+        elif key == "blocks_per_group":
+            try:  # the flag and the config-file key share one parser
+                value = parse_config_value(key, value)
+            except ValueError as e:
+                raise ConfigError(f"--blocks: {e}") from None
+            cfg.depth = None
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -221,6 +203,7 @@ def cmd_train(args) -> int:
     from dataclasses import asdict
 
     from .arch import build
+    from .data import atomic_write
     from .tensor import worker_count
     from .train import TrainConfig, normalize_dataset, train
 
@@ -237,44 +220,34 @@ def cmd_train(args) -> int:
     data_entry = {**entry, "digests": {"train": train_set.digest, "test": test_set.digest}}
     train_set, test_set, stats = normalize_dataset(train_set, test_set)
 
-    file_train = _split_config_file(args.config)[1] if args.config else {}
-
-    def setting(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_train.get(key, default)
-
-    try:  # the flag and the config-file key share one parser
-        milestones = (_TRAIN_FILE_KEYS["milestones"](args.milestones) if args.milestones
-                      else file_train.get("milestones", ()))
-    except ValueError as e:
-        raise ConfigError(f"--milestones: {e}") from None
-    augment = setting(args.augment, "pad_crop", False)
-    seed = setting(args.seed, "seed", 0)
-    tc = TrainConfig(base_lr=setting(args.lr, "base_lr", 0.1),
-                     milestones=milestones,
-                     lr_factor=file_train.get("lr_factor", 0.1),
-                     momentum=setting(args.momentum, "momentum", 0.9),
-                     weight_decay=setting(args.weight_decay, "weight_decay", 1e-4),
-                     batch_size=setting(args.batch_size, "batch_size", 128),
-                     max_epochs=setting(args.epochs, "max_epochs", 30),
-                     pad_crop=augment,
-                     hflip=setting(args.augment, "hflip", augment),
-                     sd_p_l=args.sd_pl if args.sd_pl is not None else cfg.sd_p_l,
-                     seed=seed)
-    graph = build(cfg, seed=seed)
+    # the defaults, then config-file keys, then flags (each flag's dest is its key)
+    settings = {**_TRAIN_DEFAULTS, **(_split_config_file(args.config)[1] if args.config else {})}
+    flags = {key: value for key, value in vars(args).items()
+             if key in _TRAIN_FILE_KEYS and value not in (None, "")}
+    if "milestones" in flags:
+        try:  # the flag and the config-file key share one parser
+            flags["milestones"] = _TRAIN_FILE_KEYS["milestones"](flags["milestones"])
+        except ValueError as e:
+            raise ConfigError(f"--milestones: {e}") from None
+    if "pad_crop" in flags:
+        flags["hflip"] = flags["pad_crop"]  # --augment sets both
+    settings.update(flags)
+    settings.setdefault("hflip", settings["pad_crop"])
+    tc = TrainConfig(**settings, sd_p_l=cfg.sd_p_l)
+    graph = build(cfg, seed=tc.seed)
 
     manifest = {
         "tool_version": __version__,
         "command": "train",
         "arch": asdict(cfg),
         "train": asdict(tc),
-        "seed": seed,
+        "seed": tc.seed,
         "threads": worker_count(),
         "dataset": data_entry,
         "normalization": stats,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_write(out_dir / "manifest.json") as f:
+        f.write(json.dumps(manifest, indent=2) + "\n")
 
     log = train(graph, train_set, test_set, tc, out_dir=out_dir)
     final = log.rows[-1]
@@ -426,13 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difficulty", choices=["easy", "medium", "hard"], default="easy")
     p.add_argument("--data", help="directory with CIFAR binary shards")
     p.add_argument("--dataset", choices=["c10", "c100"], default="c10")
-    p.add_argument("--epochs", type=int, help="default 30")
+    p.add_argument("--epochs", dest="max_epochs", type=int, help="default 30")
     p.add_argument("--batch-size", type=int, help="default 128")
-    p.add_argument("--lr", type=float, help="default 0.1")
+    p.add_argument("--lr", dest="base_lr", type=float, help="default 0.1")
     p.add_argument("--milestones", help="comma-separated decay epochs, e.g. 250,375")
     p.add_argument("--momentum", type=float, help="default 0.9")
     p.add_argument("--weight-decay", type=float, help="default 1e-4")
-    p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None,
+    p.add_argument("--augment", dest="pad_crop", action=argparse.BooleanOptionalAction, default=None,
                    help="pad-4 random crop and horizontal flip (default off)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)

@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,38 +134,42 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CHUNK = 1 << 20  # bytes per read of the load's checksum pass
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -> None:
-    """Write named tensors plus a config echo; trailing CRC32 over everything.
-
-    Streams to ``<path>.tmp`` in the same directory, then renames it over
-    ``path``, so a failed or interrupted write leaves an earlier file intact.
-    """
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open ``<path>.tmp`` beside ``path`` for writing, then rename it over
+    ``path``: a failed or interrupted write leaves an earlier file intact."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    crc = 0
     try:
-        with open(tmp, "wb") as f:
-            def put(chunk) -> None:
-                nonlocal crc
-                crc = zlib.crc32(chunk, crc)
-                f.write(chunk)
-
-            config_bytes = config_text.encode()
-            put(_MAGIC + struct.pack("<II", _VERSION, len(config_bytes)) + config_bytes)
-            names = sorted(state)
-            put(struct.pack("<I", len(names)))
-            for name in names:
-                arr = np.asarray(state[name])
-                if arr.dtype not in _DTYPE_CODES:
-                    arr = arr.astype(np.float32)
-                nb, code = name.encode(), _DTYPE_CODES[arr.dtype]
-                put(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
-                put(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)
-            f.write(struct.pack("<I", crc))
+        with open(tmp, mode, newline=None if "b" in mode else "") as f:
+            yield f
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after the rename
+
+
+def save_checkpoint(path, state: dict[str, np.ndarray], config_text: str = "") -> None:
+    """Write named tensors plus a config echo; trailing CRC32 over everything.
+    Streams through :func:`atomic_write`."""
+    crc = 0
+    with atomic_write(path, "wb") as f:
+        def put(chunk) -> None:
+            nonlocal crc
+            crc = zlib.crc32(chunk, crc)
+            f.write(chunk)
+
+        config_bytes = config_text.encode()
+        put(_MAGIC + struct.pack("<II", _VERSION, len(config_bytes)) + config_bytes)
+        names = sorted(state)
+        put(struct.pack("<I", len(names)))
+        for name in names:
+            arr = np.asarray(state[name])
+            if arr.dtype not in _DTYPE_CODES:
+                arr = arr.astype(np.float32)
+            nb, code = name.encode(), _DTYPE_CODES[arr.dtype]
+            put(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb, code, arr.ndim, *arr.shape))
+            put(np.ascontiguousarray(arr, dtype=_DTYPES[code]).data)
+        f.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:

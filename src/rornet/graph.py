@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -166,16 +166,12 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     probability. Level shortcuts are never gated or scaled. When ``capture``
     names node ids, returns ``(logits, {id: ndarray})`` instead. Eval mode
     records no tape, so each activation is freed after its last consumer.
-    In both modes a relu or addition writes its result into the buffer of a
-    value it consumes once and last, unless a vjp reads that value
-    (``_READS_INPUT``, ``_READS_OUTPUT``), it is the input or captured, or an
-    addition whose branch is dropped passes it through: the training tape
-    shares buffers. In train mode the same tables decide what the tape
-    drops at its last consumer: a value no vjp reads, and a value a vjp
-    reads that the tape can rebuild (``Tensor._rebuild``: a batch norm
-    output, or a ReLU of one). Its ``data`` becomes a
-    :func:`rornet.tensor.placeholder`. The input, captured values, the
-    output and values an addition passes through stay whole.
+    A relu or addition writes into the buffer of a value it consumes once
+    and last if no taped vjp reads it (``Tensor._read``). In train mode the
+    tape drops, at its last consumer, each value no vjp reads and each one
+    it can rebuild (``Tensor._rebuild``): its ``data`` becomes a
+    :func:`rornet.tensor.placeholder`. The input, captured values and what
+    an addition passes on are neither written into nor dropped.
     Each tensor a node creates carries the node's id (``Tensor.node``), which
     makes the training tape single-use: :func:`rornet.tensor.backward` frees
     it as it sweeps, and names the node when a gradient is non-finite.
@@ -212,25 +208,23 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     run = [node for node in graph.nodes if node.id in active]
     last_use: dict[str, str] = {}
     whole = capture | {graph.input_id}  # never written into, nor dropped from the tape
-    read: set[str] = set()  # values a vjp reads
     for node in run:
         if node.op == "add" and node.attrs.get("block") in dropped:
             whole.update([node.id, *node.inputs])  # it may return its one term itself
-        if node.op in _READS_OUTPUT:
-            read.add(node.id)
-        if node.op in _READS_INPUT:
-            read.update(node.inputs)
         for i in node.inputs:
             last_use[i] = node.id
-    lendable = active - whole - read
-    lent = {i: c for i, c in last_use.items() if i in lendable and graph.by_id[c].inputs.count(i) == 1}
+    ends: dict[str, list[str]] = {}  # node id -> the values it consumes last
+    for i, nid in last_use.items():
+        if i not in whole:
+            ends.setdefault(nid, []).append(i)
 
     captured: dict[str, np.ndarray] = {}
     vals: dict[str, T.Tensor] = {}
     with T.no_tape() if mode == "eval" else contextlib.nullcontext():
         for node in run:
+            last = ends.get(node.id, ())
             try:
-                t = _eval_node(graph, node, vals, xt, mode, dropped, schedule, lent)
+                t = _eval_node(graph, node, vals, xt, mode, dropped, schedule, last)
             except NumericError as e:
                 raise NumericError(f"{e} (at node {node.id!r}, in forward)") from e
             if t.node is None:  # not an addition passing a term on
@@ -238,28 +232,20 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
             vals[node.id] = t
             if node.id in capture:
                 captured[node.id] = vals[node.id].data
-            for i in node.inputs:
-                if last_use.get(i) != node.id or i not in vals:
-                    continue
+            for i in last:
                 t = vals.pop(i)
-                if i in lendable and mode == "train":  # no vjp reads it
-                    t.data, t._rebuild = T.placeholder(t.data), None
-                elif i not in whole and t._rebuild is not None:  # a vjp reads it; backward rebuilds it
-                    t.data = T.placeholder(t.data)
+                if mode == "train" and (not t._read or t._rebuild is not None):
+                    # no vjp reads it, or backward rebuilds it before one does
+                    t.data, t._rebuild = T.placeholder(t.data), t._rebuild if t._read else None
     out = vals[graph.output_id]
     if capture:
         return out, captured
     return out
 
 
-# ops whose vjp reads their inputs' values, and ops whose vjp reads their
-# output's: ``forward`` lends no buffer that a vjp reads
-_READS_INPUT = ("conv", "bn", "linear")
-_READS_OUTPUT = ("relu",)
-
-
 def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
-               dropped: set[int], schedule, lent: dict[str, str]) -> T.Tensor:
+               dropped: set[int], schedule, last: Sequence[str]) -> T.Tensor:
+    """The node's output; a relu or addition may write into an unread value in ``last``."""
     a = node.attrs
     if node.op == "input":
         return xt
@@ -270,7 +256,7 @@ def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
         return T.batch_norm(vals[node.inputs[0]], graph.bn[a["state"]], mode)
     if node.op == "relu":
         x = vals[node.inputs[0]]
-        return T.relu(x, out=x.data if lent.get(node.inputs[0]) == node.id else None)
+        return T.relu(x, out=x.data if last and not x._read else None)
     if node.op == "pad_project":
         return T.subsample_pad(vals[node.inputs[0]], a["stride"], a["out_channels"])
     if node.op == "maxpool":
@@ -291,7 +277,8 @@ def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
             t = vals[i]
             if is_branch and mode == "eval" and schedule is not None:
                 t = T.scale(t, float(schedule.probs[block_index - 1]))
-            if out is None and len(terms) < 2 and lent.get(i) == node.id:
+            if (out is None and len(terms) < 2 and i in last and not t._read
+                    and node.inputs.count(i) == 1):
                 out = t.data  # add_n keeps its order by writing only into t0 or t1
             terms.append(t)
         if len(terms) == 1:

@@ -17,14 +17,13 @@ Conventions:
   * every op validates that its output is finite, and :func:`backward`
     every vjp output, raising :class:`NumericError` otherwise, so NaN/Inf
     never propagate silently,
-  * :func:`relu` and :func:`add_n` can write into an input's buffer
-    (``out=``); the graph executor lends them buffers that no vjp reads,
-    and :func:`backward` frees the tape it builds as it sweeps,
-  * the graph executor also drops values from its training tape: what no
-    vjp reads, and what :func:`backward` can rebuild (a train-mode batch
-    norm output, or a ReLU of one). A dropped value's ``data`` becomes a
-    :func:`placeholder`, and :func:`backward` rebuilds a value just before
-    a vjp that may read it.
+  * a taped op marks the tensors its vjp reads (``Tensor._read``). The
+    graph executor lends :func:`relu` and :func:`add_n` (``out=``) the
+    buffers of unmarked inputs, and drops from its training tape what is
+    unmarked or what :func:`backward` can rebuild (a train-mode batch norm
+    output, or a ReLU of one): its ``data`` becomes a :func:`placeholder`,
+    rebuilt just before a vjp that may read it. :func:`backward` frees the
+    tape it builds as it sweeps.
 """
 
 from __future__ import annotations
@@ -89,6 +88,8 @@ class Tensor:
     owns and releases as it sweeps; a tape made op by op belongs to its
     caller and can be swept again.
 
+    ``_read`` is True once a taped op's vjp reads ``data``: the graph
+    executor neither writes into nor drops such a value without a rebuild.
     ``_rebuild``, set on a taped output that is cheap to recompute from what
     the tape keeps anyway (train-mode :func:`batch_norm`, and a :func:`relu`
     of such a value), returns that output again. When the graph executor
@@ -96,7 +97,8 @@ class Tensor:
     :func:`backward` calls ``_rebuild`` before a vjp that may read it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp", "_rebuild", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp", "_rebuild", "_read",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -106,6 +108,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
         self._rebuild: Optional[Callable[[], np.ndarray]] = None
+        self._read = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -175,13 +178,15 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by {op}")
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp, rebuild=None) -> Tensor:
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp, rebuild=None, reads=()) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data, requires_grad=_taping and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
         out._rebuild = rebuild
+        for p in reads:  # the parents the vjp reads
+            p._read = True
     return out
 
 
@@ -421,7 +426,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             gx = _unphase(gxf, stride, padding, (ph, pw), (hq, wq), x.shape)
         return gx, gw
 
-    return _make(out, "conv2d", (x, weight), vjp)
+    return _make(out, "conv2d", (x, weight), vjp, reads=(x,))
 
 
 def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
@@ -499,7 +504,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
             gx = xc
         return gx, ggamma, gbeta
 
-    return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp, rebuild)
+    return _make(out.reshape(n, c, h, w), "batch_norm", (x, gamma, beta), vjp, rebuild, reads=(x,))
 
 
 def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
@@ -518,6 +523,7 @@ def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
         return np.maximum(y, 0, out=y)
 
     y = _make(np.maximum(x.data, 0, out=out), "relu", (x,), vjp, rebuild if src is not None else None)
+    y._read = y.requires_grad  # its vjp masks by the output
     result = weakref.ref(y)
     return y
 
@@ -653,7 +659,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gb = g.sum(axis=0) if bias.requires_grad else None
         return gx, gw, gb
 
-    return _make(out, "linear", (x, weight, bias), vjp)
+    return _make(out, "linear", (x, weight, bias), vjp, reads=(x,))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -712,10 +718,9 @@ def backward(loss: Tensor) -> None:
     repeated calls without clearing grads accumulate.
 
     ``graph.forward`` leaves a :func:`placeholder` with a ``_rebuild`` only on
-    values that some vjp reads. The sweep rebuilds such a value just before
-    the first vjp that may read it: the value's own (a ReLU reads its
-    output) or that of a node whose first input it is (conv, batch norm and
-    linear read their input). Node release frees the rebuilt array.
+    values a vjp reads (``_read``). The sweep rebuilds one just before the
+    first vjp that may read it, its own or that of a node whose first input
+    it is (every op that reads an input reads its first); node release frees it.
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")

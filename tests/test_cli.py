@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 import rornet
 from rornet import tensor as T
-from rornet.cli import main
+from rornet.arch import _CONFIG_KEYS, ArchConfig
+from rornet.cli import _arch_config, _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -369,3 +371,102 @@ class TestPlotCommand:
         code, _, err = run_cli(capsys, "plot", str(path), "-o", str(out), "--window", window)
         assert code == 2
         assert "--window" in err and not out.exists()
+
+
+# every flag that sets an ArchConfig field: flag, value, field, parsed value
+ARCH_FLAGS = [("--family", "imagenet", "family", "imagenet"),
+              ("--depth", "32", "depth", 32),
+              ("--blocks", "2,3,4", "blocks_per_group", (2, 3, 4)),
+              ("--width", "2", "width_k", 2),
+              ("--levels", "2", "levels_m", 2),
+              ("--order", "pre_act", "block_order", "pre_act"),
+              ("--block-size", "bottleneck", "block_size", "bottleneck"),
+              ("--final-type", "A", "final_shortcut", "A"),
+              ("--upper-type", "A", "upper_shortcut", "A"),
+              ("--classes", "100", "num_classes", 100),
+              ("--sd-pl", "0.5", "sd_p_l", 0.5)]
+
+
+def arch_config(*argv, command="build"):
+    return _arch_config(_build_parser().parse_args([command, *argv]))
+
+
+class TestArchFlags:
+    def test_every_config_key_has_a_flag(self):
+        assert sorted(field for _, _, field, _ in ARCH_FLAGS) == sorted(_CONFIG_KEYS)
+
+    @pytest.mark.parametrize("command", ["build", "analyze", "train"])
+    @pytest.mark.parametrize("flag, value, field, parsed", ARCH_FLAGS)
+    def test_a_flag_sets_its_field_and_nothing_else(self, command, flag, value, field, parsed):
+        extra = ["--out-dir", "unused"] if command == "train" else []
+        got = asdict(arch_config(flag, value, *extra, command=command))
+        want = asdict(ArchConfig())
+        want[field] = parsed
+        assert got == want
+
+    @pytest.mark.parametrize("argv, depth, blocks, order", [
+        (["--wrn", "28", "--width", "2"], 28, None, "pre_act"),
+        (["--wrn", "28", "--width", "2", "--depth", "40"], 40, None, "pre_act"),
+        (["--wrn", "28", "--width", "2", "--blocks", "1,2"], None, (1, 2), "pre_act"),
+        (["--wrn", "28", "--width", "2", "--order", "post_act"], 28, None, "post_act"),
+        (["--depth", "20", "--blocks", "1,1,1"], None, (1, 1, 1), "post_act"),
+        (["--blocks", "1,1,1", "--depth", "20"], None, (1, 1, 1), "post_act"),
+        (["--blocks", "", "--depth", "20"], 20, None, "post_act"),
+    ])
+    def test_wrn_depth_and_blocks_precedence(self, argv, depth, blocks, order):
+        cfg = arch_config(*argv)
+        assert (cfg.depth, cfg.blocks_per_group, cfg.block_order) == (depth, blocks, order)
+
+    @pytest.mark.parametrize("text, flags, depth, blocks", [
+        ("depth=20\n", ["--blocks", "2,2"], None, (2, 2)),
+        ("blocks_per_group=2,2\n", ["--depth", "14"], 14, None),
+        ("blocks_per_group=2,2\nwidth_k=2\n", ["--wrn", "16"], 16, None),
+    ])
+    def test_a_size_flag_replaces_the_config_file_size(self, tmp_path, text, flags, depth, blocks):
+        cfg_file = tmp_path / "a.cfg"
+        cfg_file.write_text(text)
+        cfg = arch_config("--config", str(cfg_file), *flags)
+        assert (cfg.depth, cfg.blocks_per_group) == (depth, blocks)
+
+    def test_wrn_without_a_width_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "build", "--wrn", "28")
+        assert code == 2
+        assert "--wrn needs --width" in err
+
+
+class TestTrainSettings:
+    def _manifest(self, capsys, out, *argv):
+        code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "16", "--classes", "4",
+                               "--blocks", "1,1,1", *argv, "--out-dir", str(out))
+        assert code == 0, err
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_defaults(self, capsys, tmp_path):
+        manifest = self._manifest(capsys, tmp_path, "--epochs", "1")
+        train = manifest["train"]
+        assert train == {"base_lr": 0.1, "milestones": [], "lr_factor": 0.1, "momentum": 0.9,
+                         "weight_decay": 1e-4, "batch_size": 128, "max_epochs": 1,
+                         "pad_crop": False, "hflip": False, "sd_p_l": None, "seed": 0}
+        assert manifest["seed"] == 0
+
+    def test_flags_over_config_file_keys_over_defaults(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("base_lr=0.05\nmomentum=0.5\nhflip=false\nseed=9\nlr_factor=0.2\n"
+                            "max_epochs=3\nmilestones=1\nbatch_size=4\nsd_p_l=0.8\n")
+        manifest = self._manifest(capsys, tmp_path / "run", "--config", str(cfg_file),
+                                  "--lr", "0.02", "--epochs", "2", "--augment", "--batch-size", "8",
+                                  "--weight-decay", "0.001")
+        assert manifest["train"] == {"base_lr": 0.02, "milestones": [1], "lr_factor": 0.2,
+                                     "momentum": 0.5, "weight_decay": 0.001, "batch_size": 8,
+                                     "max_epochs": 2, "pad_crop": True, "hflip": True,
+                                     "sd_p_l": 0.8, "seed": 9}
+        assert manifest["seed"] == 9
+
+    def test_config_file_pad_crop_sets_hflip_unless_the_file_says_otherwise(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("pad_crop=true\nmax_epochs=1\n")
+        train = self._manifest(capsys, tmp_path / "a", "--config", str(cfg_file))["train"]
+        assert (train["pad_crop"], train["hflip"]) == (True, True)
+        train = self._manifest(capsys, tmp_path / "b", "--config", str(cfg_file),
+                               "--no-augment", "--seed", "4", "--momentum", "0.8")["train"]
+        assert (train["pad_crop"], train["hflip"], train["seed"], train["momentum"]) == (False, False, 4, 0.8)

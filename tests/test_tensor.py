@@ -625,3 +625,61 @@ class TestConvWorkerPool:
             want = conv_and_grads(x, w, 1, np.ones(3 * 5 * 40 * 40))
         for a, b in zip(want, got):
             np.testing.assert_array_equal(a, b)
+
+
+def _op_with_inputs(op, rng):
+    """``op``'s output on fresh float64 tensors, and those tensors by name."""
+    x = T.Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    flat = T.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    ins = {"x": x}
+    if op == "conv2d":
+        ins["w"] = T.Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+        return T.conv2d(x, ins["w"], padding=1), ins
+    if op == "batch_norm":
+        state = T.BatchNormState("bn", 3, dtype=np.float64)
+        ins.update(gamma=state.gamma.tensor, beta=state.beta.tensor)
+        return T.batch_norm(x, state), ins
+    if op == "linear":
+        ins = {"x": flat, "w": T.Tensor(rng.normal(size=(4, 6)), requires_grad=True),
+               "b": T.Tensor(rng.normal(size=4), requires_grad=True)}
+        return T.linear(flat, ins["w"], ins["b"]), ins
+    if op == "add_n":
+        ins["y"] = T.Tensor(rng.normal(size=x.shape), requires_grad=True)
+        return T.add_n([x, ins["y"]]), ins
+    if op == "softmax_cross_entropy":
+        return T.softmax_cross_entropy(flat, np.array([0, 5])), {"x": flat}
+    calls = {"relu": lambda: T.relu(x), "scale": lambda: T.scale(x, 0.5),
+             "subsample_pad": lambda: T.subsample_pad(x, 2, 4), "max_pool2d": lambda: T.max_pool2d(x),
+             "global_avg_pool": lambda: T.global_avg_pool(x)}
+    return calls[op](), ins
+
+
+# op -> the tensors its vjp reads, so the graph executor must not write into or drop them
+READ_MARKS = {"conv2d": {"x"}, "batch_norm": {"x"}, "linear": {"x"}, "relu": {"out"},
+              "add_n": set(), "scale": set(), "subsample_pad": set(), "max_pool2d": set(),
+              "global_avg_pool": set(), "softmax_cross_entropy": set()}
+
+
+class TestReadMarks:
+    @pytest.mark.parametrize("op", sorted(READ_MARKS))
+    def test_a_taped_op_marks_exactly_what_its_vjp_reads(self, op, rng):
+        out, ins = _op_with_inputs(op, rng)
+        tensors = {**ins, "out": out}
+        assert {name for name, t in tensors.items() if t._read} == READ_MARKS[op]
+
+    @pytest.mark.parametrize("op", sorted(READ_MARKS))
+    def test_nothing_is_marked_without_a_tape(self, op, rng):
+        with T.no_tape():
+            out, ins = _op_with_inputs(op, rng)
+        assert not any(t._read for t in [*ins.values(), out])
+
+    def test_an_input_off_the_gradient_path_is_marked_when_the_op_is_taped(self, rng):
+        # the first conv of a network reads the image to form its weight gradient
+        image = T.Tensor(rng.normal(size=(2, 3, 4, 4)))
+        w = T.Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+        T.conv2d(image, w, padding=1)
+        assert image._read and not w._read
+        frozen = T.Tensor(rng.normal(size=(5, 3, 3, 3)))
+        other = T.Tensor(rng.normal(size=(2, 3, 4, 4)))
+        T.conv2d(other, frozen, padding=1)  # nothing requires grad: no tape
+        assert not other._read

@@ -282,6 +282,39 @@ class TestTrainLoop:
         back = MetricsLog.from_csv(path)
         assert back.rows == log.rows
 
+    def test_a_rewrite_cut_short_leaves_the_previous_csv(self, tmp_path):
+        # the file-size limit makes the rewrite fail part way through, as a
+        # full disk or a killed run would; the earlier file must still parse
+        path = tmp_path / "metrics.csv"
+        log = MetricsLog()
+        for epoch in range(40):
+            log.append(MetricsRow(epoch, 2.5 / (epoch + 1), 90.0 - epoch, 91.0 - epoch, 0.1,
+                                  1.25 * epoch, 1000 + epoch))
+        log.to_csv(path)
+        before = path.read_bytes()
+        limit = len(before) // 2
+        script = (
+            "import resource, signal, sys\n"
+            "from rornet.train import MetricsLog, MetricsRow\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "log = MetricsLog()\n"
+            "for epoch in range(41):\n"
+            "    log.append(MetricsRow(epoch, 9.0, 9.0, 9.0, 0.01, 9.0, 7))\n"
+            "try:\n"
+            "    log.to_csv(sys.argv[1])\n"
+            "except OSError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+        src = str(Path(rornet.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == before
+        back = MetricsLog.from_csv(path)
+        assert [(r.epoch, r.gate_seed) for r in back.rows] == [(r.epoch, r.gate_seed) for r in log.rows]
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
     def test_non_monotone_epoch_rejected(self):
         log = MetricsLog()
         log.append(MetricsRow(0, 1, 1, 1, 0.1, 0.0, 0))
