@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,10 +39,6 @@ IMAGENET_DEPTHS = {
     152: ((3, 8, 36, 3), "bottleneck"),
 }
 BOTTLENECK_EXPANSION = 4
-
-_CONFIG_KEYS = ("family", "depth", "blocks_per_group", "width_k", "levels_m",
-                "block_order", "block_size", "final_shortcut", "upper_shortcut",
-                "num_classes", "sd_p_l")
 
 
 @dataclass
@@ -67,6 +64,9 @@ class ArchConfig:
     upper_shortcut: str = "B"
     num_classes: int = 10
     sd_p_l: Optional[float] = None
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ArchConfig))
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,8 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     named stream, so identical names receive identical initial values across
     different level counts.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     plan = resolve_config(config)
     order = config.block_order
 
@@ -416,29 +418,41 @@ def config_to_text(config: ArchConfig) -> str:
 
 def config_from_text(text: str) -> ArchConfig:
     """Parse the flat key=value format produced by :func:`config_to_text`."""
-    kwargs = {}
+    return ArchConfig(**read_config(text, ArchConfig)[0])
+
+
+def read_config(text: str, *schemas) -> list[dict]:
+    """Split flat ``key=value`` lines (``#`` comments allowed) among config
+    dataclasses: each key goes to the first of ``schemas`` with that field,
+    read by :func:`parse_field`. Returns one keyword dict per schema."""
+    found = {schema: {} for schema in schemas}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        try:
-            kwargs[key] = parse_config_value(key, value)
-        except ValueError:
-            raise ConfigError(f"config line {lineno}: bad value for {key}: {value!r}") from None
-    return ArchConfig(**kwargs)
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"config line {lineno}: not key=value: {raw!r}")
+        owner = next((s for s in schemas if key in {f.name for f in fields(s)}), None)
+        if owner is None:
+            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        found[owner][key] = parse_field(owner, key, value, f"config line {lineno}")
+    return list(found.values())
 
 
-def parse_config_value(key: str, value: str):
-    """Convert one config value from text; raises ``ValueError`` on a bad value."""
-    if key in ("depth", "width_k", "levels_m", "num_classes"):
-        return int(value)
-    if key == "sd_p_l":
-        return float(value)
-    if key == "blocks_per_group":
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    return value
+def parse_field(schema, key: str, text: str, where: str):
+    """Read ``text`` as the type of ``schema``'s field ``key``: int, float,
+    ``true``/``false``, comma-separated ints (empty parts skipped) or str;
+    ``Optional[X]`` reads as X. A bad value raises :class:`ConfigError`
+    ``"{where}: bad value for {key}: '{text}'"``."""
+    kind = typing.get_type_hints(schema)[key]
+    if typing.get_origin(kind) is typing.Union:
+        kind = typing.get_args(kind)[0]
+    try:
+        if kind is bool:
+            return {"true": True, "false": False}[text.lower()]
+        if typing.get_origin(kind) is tuple:
+            return tuple(int(v) for v in text.split(",") if v.strip())
+        return kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,37 +20,16 @@ from . import __version__
 from .exceptions import CheckpointError, ConfigError, DataError, NumericError
 
 
-def _bool(value: str) -> bool:
-    if value.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value.lower() == "true"
-
-
-_TRAIN_FILE_KEYS = {
-    "base_lr": float, "lr_factor": float, "momentum": float, "weight_decay": float,
-    "batch_size": int, "max_epochs": int, "pad_crop": _bool, "hflip": _bool, "seed": int,
-    "milestones": lambda v: tuple(int(m) for m in v.split(",") if m.strip()),
-}
 # rornet train's defaults where TrainConfig's (the paper's schedule) differ; hflip follows pad_crop
 _TRAIN_DEFAULTS = {"milestones": (), "max_epochs": 30, "pad_crop": False}
 
 
-def _split_config_file(path):
-    """A config file may mix architecture and training keys; split them.
+def _config_file(path) -> list[dict]:
+    """The ``--config`` file's architecture keys and training keys, as two dicts."""
+    from .arch import ArchConfig, read_config
+    from .train import TrainConfig
 
-    Training-key lines are blanked, not dropped, so the architecture text
-    keeps the file's line numbers for error messages.
-    """
-    lines, train_kwargs = Path(path).read_text().splitlines(), {}
-    for lineno, raw in enumerate(lines, start=1):
-        key, _, value = (part.strip() for part in raw.partition("="))
-        if key in _TRAIN_FILE_KEYS:
-            try:
-                train_kwargs[key] = _TRAIN_FILE_KEYS[key](value)
-            except ValueError as e:
-                raise ConfigError(f"config line {lineno}: {e}") from None
-            lines[lineno - 1] = ""
-    return "\n".join(lines) + "\n", train_kwargs
+    return read_config(Path(path).read_text(), ArchConfig, TrainConfig) if path is not None else [{}, {}]
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
@@ -72,25 +52,21 @@ def _add_arch_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _arch_config(args):
-    from .arch import _CONFIG_KEYS, ArchConfig, config_from_text, parse_config_value
+    from .arch import _CONFIG_KEYS, ArchConfig, parse_field
 
-    cfg = config_from_text(_split_config_file(args.config)[0]) if args.config else ArchConfig()
+    cfg = ArchConfig(**_config_file(args.config)[0])
     if args.wrn is not None:
         cfg.depth, cfg.blocks_per_group, cfg.block_order = args.wrn, None, "pre_act"
         if args.width_k is None and cfg.width_k == 1:
             raise ConfigError("--wrn needs --width (the k multiplier)")
     for key in _CONFIG_KEYS:  # in field order, so --blocks overrides --depth
         value = getattr(args, key)
-        if value in (None, ""):  # an empty flag value leaves the setting alone
+        if value is None:
             continue
         if key == "depth":
             cfg.blocks_per_group = None
         elif key == "blocks_per_group":
-            try:  # the flag and the config-file key share one parser
-                value = parse_config_value(key, value)
-            except ValueError as e:
-                raise ConfigError(f"--blocks: {e}") from None
-            cfg.depth = None
+            value, cfg.depth = parse_field(ArchConfig, key, value, "--blocks"), None
         setattr(cfg, key, value)
     return cfg
 
@@ -186,7 +162,7 @@ def _load_split(entry: dict, split: str):
 
 
 def _read_manifest(path: Path) -> dict:
-    """A run directory's manifest, checked for the blocks ``rornet eval`` reads."""
+    """A run directory's manifest, checked for the blocks and fields ``rornet eval`` reads."""
     if not path.exists():
         raise DataError(f"no manifest at {path}")
     try:
@@ -196,13 +172,22 @@ def _read_manifest(path: Path) -> dict:
     for key in ("dataset", "normalization", "train"):
         if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
             raise DataError(f"{path}: missing or malformed {key!r} block")
+    entry, stats = manifest["dataset"], manifest["normalization"]
+    wants = {"seed": int, "classes": int, "samples": int, "difficulty": str} \
+        if entry.get("kind") == "synthetic" else {"kind": str, "variant": str, "path": str}
+    bad = [f"dataset.{key}" for key, kind in wants.items() if type(entry.get(key)) is not kind]
+    bad += [f"normalization.{key}" for key in ("mean", "std") if not (
+        isinstance(stats.get(key), list) and len(stats[key]) == 3 and all(
+            type(v) in (int, float) and math.isfinite(v) and (key == "mean" or v > 0) for v in stats[key]))]
+    if bad:  # mean and std: 3 finite numbers, std above 0
+        raise DataError(f"{path}: missing or malformed {', '.join(bad)}")
     return manifest
 
 
 def cmd_train(args) -> int:
-    from dataclasses import asdict
+    from dataclasses import asdict, fields
 
-    from .arch import build
+    from .arch import build, parse_field
     from .data import atomic_write
     from .tensor import worker_count
     from .train import TrainConfig, normalize_dataset, train
@@ -220,20 +205,17 @@ def cmd_train(args) -> int:
     data_entry = {**entry, "digests": {"train": train_set.digest, "test": test_set.digest}}
     train_set, test_set, stats = normalize_dataset(train_set, test_set)
 
-    # the defaults, then config-file keys, then flags (each flag's dest is its key)
-    settings = {**_TRAIN_DEFAULTS, **(_split_config_file(args.config)[1] if args.config else {})}
-    flags = {key: value for key, value in vars(args).items()
-             if key in _TRAIN_FILE_KEYS and value not in (None, "")}
+    # the defaults, then config-file keys, then flags (each flag's dest is its key);
+    # p_L is the architecture's, which is what rornet eval rebuilds
+    flags = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
+    flags = {key: value for key, value in flags.items() if value is not None}
     if "milestones" in flags:
-        try:  # the flag and the config-file key share one parser
-            flags["milestones"] = _TRAIN_FILE_KEYS["milestones"](flags["milestones"])
-        except ValueError as e:
-            raise ConfigError(f"--milestones: {e}") from None
+        flags["milestones"] = parse_field(TrainConfig, "milestones", flags["milestones"], "--milestones")
     if "pad_crop" in flags:
         flags["hflip"] = flags["pad_crop"]  # --augment sets both
-    settings.update(flags)
+    settings = {**_TRAIN_DEFAULTS, **_config_file(args.config)[1], **flags, "sd_p_l": cfg.sd_p_l}
     settings.setdefault("hflip", settings["pad_crop"])
-    tc = TrainConfig(**settings, sd_p_l=cfg.sd_p_l)
+    tc = TrainConfig(**settings)
     graph = build(cfg, seed=tc.seed)
 
     manifest = {
@@ -266,21 +248,22 @@ def cmd_eval(args) -> int:
 
     run_dir = Path(args.run_dir)
     manifest = _read_manifest(run_dir / "manifest.json")
-    ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "checkpoint.bin"
+    ckpt = Path(args.checkpoint) if args.checkpoint is not None else run_dir / "checkpoint.bin"
     state, config_text = load_checkpoint(ckpt)
 
-    graph = build(config_from_text(config_text))
+    cfg = config_from_text(config_text)
+    graph = build(cfg)
     graph.load_state(state)
 
     entry = manifest["dataset"]
-    if args.data:
+    if args.data is not None:
         entry = {**entry, "path": args.data}
-    test_set = _load_split(entry, "test")
-    test_set = standardize(test_set, manifest["normalization"])
+    try:
+        test_set = standardize(_load_split(entry, "test"), manifest["normalization"])
+    except ConfigError as e:  # a dataset entry synthetic_dataset rejects
+        raise DataError(f"{run_dir / 'manifest.json'}: dataset: {e}") from None
 
-    schedule = None
-    if manifest["train"].get("sd_p_l"):
-        schedule = survival_schedule(graph.meta["num_blocks"], manifest["train"]["sd_p_l"])
+    schedule = survival_schedule(graph.meta["num_blocks"], cfg.sd_p_l) if cfg.sd_p_l else None
     err = evaluate(graph, test_set, schedule=schedule)
     print(f"test_err {err:.4f}%")
     return 0

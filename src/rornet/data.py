@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (CheckpointError, ChecksumError, DataError, StateNameError,
-                         VersionError)
+from .exceptions import (CheckpointError, ChecksumError, ConfigError, DataError,
+                         StateNameError, VersionError)
 
 C10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 C10_TEST_FILES = ["test_batch.bin"]
@@ -110,8 +110,9 @@ def synthetic_dataset(seed: int, classes: int = 10, n: int = 500,
         }[difficulty]
     except KeyError:
         raise DataError(f"difficulty must be easy, medium or hard, got {difficulty!r}") from None
-    if n < classes:
-        raise DataError(f"need at least one sample per class: n={n}, classes={classes}")
+    if seed < 0 or not 1 <= classes <= n:
+        raise ConfigError(f"synthetic data needs a non-negative seed and at least one sample "
+                          f"per class: seed={seed}, n={n}, classes={classes}")
     rng = np.random.default_rng(seed)
     prototypes = rng.normal(0.0, 1.0, size=(classes, 3, 32, 32))
     labels = np.arange(n, dtype=np.int64) % classes

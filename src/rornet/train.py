@@ -56,6 +56,8 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight decay must be non-negative, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
@@ -98,7 +100,7 @@ class MetricsLog:
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":
         log = cls()
-        with open(path, newline="") as f:
+        with open(path, newline="", errors="replace") as f:  # a bad byte fails its cell's parse
             reader = csv.DictReader(f)
             missing = [key for key in cls.CSV_HEADER if key not in (reader.fieldnames or ())]
             if missing:

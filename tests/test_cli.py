@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rornet
 from rornet import tensor as T
@@ -80,6 +83,16 @@ class TestBuildCommand:
         code, _, err = run_cli(capsys, "build", "--config", str(cfg))
         assert code == 2
         assert f"config line {line}" in err
+
+    @pytest.mark.parametrize("line", ["depth=abc", "blocks_per_group=1,x", "sd_p_l=half",
+                                      "pad_crop=yes", "milestones=1.5", "batch_size=", "base_lr=x"])
+    def test_one_error_format_for_every_key(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"levels_m=2\n\n{line}\n")
+        code, _, err = run_cli(capsys, "build", "--config", str(cfg))
+        key, value = line.split("=")
+        assert code == 2
+        assert f"config error: config line 3: bad value for {key}: {value!r}" in err
 
 
 class TestAnalyzeCommand:
@@ -211,6 +224,18 @@ class TestTrainEvalCommands:
         (lambda m: "{", "not valid JSON"),
         (lambda m: json.dumps({k: v for k, v in m.items() if k != "normalization"}),
          "'normalization'"),
+        (lambda m: json.dumps({**m, "normalization": {**m["normalization"], "mean": "abc"}}),
+         "normalization.mean"),
+        (lambda m: json.dumps({**m, "normalization": {"mean": m["normalization"]["mean"]}}),
+         "normalization.std"),
+        (lambda m: json.dumps({**m, "normalization": {**m["normalization"], "mean": [0.5]}}),
+         "normalization.mean"),
+        (lambda m: json.dumps({**m, "normalization": {**m["normalization"], "std": [1, 0, 1]}}),
+         "normalization.std"),
+        (lambda m: json.dumps({**m, "dataset": {k: v for k, v in m["dataset"].items() if k != "seed"}}),
+         "dataset.seed"),
+        (lambda m: json.dumps({**m, "dataset": {**m["dataset"], "samples": "x"}}), "dataset.samples"),
+        (lambda m: json.dumps({**m, "dataset": {**m["dataset"], "seed": -5}}), "dataset"),
     ])
     def test_malformed_manifest_is_data_error(self, capsys, tmp_path, run_dir, damage, named):
         import shutil
@@ -243,6 +268,22 @@ class TestTrainEvalCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["train"]["sd_p_l"] == 0.5
 
+    def test_eval_of_a_drop_path_run_reproduces_logged_test_err(self, capsys, tmp_path):
+        # eval scales each branch by its survival probability, as training's evaluation did;
+        # this run's test error reads 75.0% with that scaling and 91.7% without it
+        from rornet.train import MetricsLog
+        out = tmp_path / "sd"
+        code, _, _ = run_cli(capsys, "train", "--synthetic", "--samples", "64", "--classes", "4",
+                             "--difficulty", "medium", "--blocks", "1,1,1", "--levels", "3",
+                             "--epochs", "2", "--batch-size", "16", "--sd-pl", "0.5", "--seed", "1",
+                             "--out-dir", str(out))
+        assert code == 0
+        code, printed, _ = run_cli(capsys, "eval", "--run-dir", str(out))
+        assert code == 0
+        log = MetricsLog.from_csv(out / "metrics.csv")
+        assert float(printed.split("test_err")[1].split("%")[0]) == pytest.approx(
+            log.rows[-1].test_err, abs=5e-5)
+
     def test_batch_size_one_is_config_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "8",
                                "--classes", "4", "--blocks", "1,1,1", "--epochs", "1",
@@ -255,7 +296,8 @@ class TestTrainEvalCommands:
                                               (("--lr", "nan"), "finite"),
                                               (("--weight-decay", "inf"), "finite"),
                                               (("--blocks", "1,x"), "--blocks"),
-                                              (("--blocks", "a"), "--blocks")])
+                                              (("--blocks", "a"), "--blocks"),
+                                              (("--blocks", ""), "blocks_per_group")])
     def test_bad_training_flag_is_config_error(self, capsys, tmp_path, flags, named):
         code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", "8",
                                "--classes", "4", "--blocks", "1,1,1", "--epochs", "2",
@@ -411,7 +453,7 @@ class TestArchFlags:
         (["--wrn", "28", "--width", "2", "--order", "post_act"], 28, None, "post_act"),
         (["--depth", "20", "--blocks", "1,1,1"], None, (1, 1, 1), "post_act"),
         (["--blocks", "1,1,1", "--depth", "20"], None, (1, 1, 1), "post_act"),
-        (["--blocks", "", "--depth", "20"], 20, None, "post_act"),
+        (["--blocks", "", "--depth", "20"], None, (), "post_act"),  # an empty value is a value
     ])
     def test_wrn_depth_and_blocks_precedence(self, argv, depth, blocks, order):
         cfg = arch_config(*argv)
@@ -427,6 +469,10 @@ class TestArchFlags:
         cfg_file.write_text(text)
         cfg = arch_config("--config", str(cfg_file), *flags)
         assert (cfg.depth, cfg.blocks_per_group) == (depth, blocks)
+
+    def test_an_empty_config_flag_is_io_error(self, capsys):
+        # an empty value is a value: the file named "" cannot be read
+        assert run_cli(capsys, "build", "--depth", "20", "--config", "")[0] == 3
 
     def test_wrn_without_a_width_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "build", "--wrn", "28")
@@ -462,6 +508,13 @@ class TestTrainSettings:
                                      "sd_p_l": 0.8, "seed": 9}
         assert manifest["seed"] == 9
 
+    def test_an_empty_milestones_flag_clears_the_config_files(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("milestones=1\nmax_epochs=2\n")
+        manifest = self._manifest(capsys, tmp_path / "run", "--config", str(cfg_file),
+                                  "--milestones", "")
+        assert manifest["train"]["milestones"] == []
+
     def test_config_file_pad_crop_sets_hflip_unless_the_file_says_otherwise(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("pad_crop=true\nmax_epochs=1\n")
@@ -470,3 +523,121 @@ class TestTrainSettings:
         train = self._manifest(capsys, tmp_path / "b", "--config", str(cfg_file),
                                "--no-augment", "--seed", "4", "--momentum", "0.8")["train"]
         assert (train["pad_crop"], train["hflip"], train["seed"], train["momentum"]) == (False, False, 4, 0.8)
+
+
+def _values(good, odd):
+    """Half the draws a value the flag accepts, so a single odd value is often the only fault."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(odd))
+
+
+# Odd values a user can type for a flag: empty, negative, zero, non-finite, malformed
+# lists, huge seeds. Sizes stay small (depth <= 14, width <= 2, <= 16 samples,
+# <= 2 epochs), so every drawn command runs in well under a second.
+_REALS = ["", "-1", "0", "nan", "inf", "-inf", "1e999", "x"]
+_COUNTS = ["", "-1", "0", "x", "1.5"]
+_SEEDS = _values(["0", "7", str(2 ** 64), str(10 ** 30)], ["", "-1", "-3", "x"])
+_CONFIG_LINES = ["depth=8", "depth=abc", "blocks_per_group=1,1", "blocks_per_group=", "seed=-1",
+                 "seed=3", "pad_crop=yes", "hflip=true", "milestones=", "milestones=1,x",
+                 "sd_p_l=0.5", "sd_p_l=nan", "bogus=1", "levels_m", "=3", "# note", "num_classes=3"]
+_ARCH_FUZZ = {"--depth": _values(["8", "14"], ["", "-2", "0", "9", "x"]),
+              "--blocks": _values(["1", "1,1", "1,2,1", "1,,2"], ["", ",", "1,x", "-1,1", "0"]),
+              "--wrn": _values(["10", "16"], ["", "-4"]), "--width": _values(["1", "2"], _COUNTS),
+              "--levels": _values(["1", "2", "3"], _COUNTS + ["5"]),
+              "--classes": _values(["2", "4"], _COUNTS + ["1"]), "--sd-pl": _values(["0.5", "1"], _REALS),
+              "--seed": _SEEDS, "--config": st.lists(st.sampled_from(_CONFIG_LINES), max_size=4)}
+_FUZZ = {
+    "build": _ARCH_FUZZ,
+    "analyze": {**_ARCH_FUZZ, "--pL": _values(["0.5", "1"], _REALS)},
+    "train": {**_ARCH_FUZZ, "--epochs": _values(["1", "2"], _COUNTS),
+              "--batch-size": _values(["2", "8", "64"], _COUNTS + ["1"]),
+              "--lr": _values(["0.1", "1e-3"], _REALS), "--momentum": _values(["0", "0.9"], _REALS + ["1"]),
+              "--milestones": _values(["", ",1", "1"], ["1,x", "2,1", "1.5", ","]),
+              "--weight-decay": _values(["0", "1e-4"], _REALS),
+              "--samples": _values(["8", "16"], _COUNTS + ["3"]), "--data-seed": _SEEDS},
+}
+_NOT_SET = object()  # drawn as a manifest value: the field is removed
+_MANIFEST_FIELDS = [("normalization", "mean"), ("normalization", "std"), ("dataset", "seed"),
+                    ("dataset", "classes"), ("dataset", "samples"), ("dataset", "difficulty"),
+                    ("dataset", "kind"), ("train", "sd_p_l")]
+_MANIFEST_VALUES = st.sampled_from([_NOT_SET, None, "abc", -5, 0, 3, True, 1.5, [], [0.5], {"a": 1},
+                                    [0.5, 0.5, 0.5], [1, 0, 1], [1, 1, float("nan")], "c10"])
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects a value
+        return e.code
+
+
+def _fuzz_run_file(data, run, command):
+    """Damage one file of a copied run directory; returns the command's argv."""
+    if command == "plot":
+        path = run / "metrics.csv"
+        lines = path.read_text().splitlines()
+        how = data.draw(st.sampled_from(["cell", "truncate", "flip"]))
+        if how == "cell":
+            row = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                st.sampled_from(["", "x", "nan", "inf", "-1", "1e999", "3.5", "é"]))
+            lines[row] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        window = data.draw(st.sampled_from([[], ["--window=0"], ["--window=-2"], ["--window=3"]]))
+    else:
+        window = []
+        how = data.draw(st.sampled_from(["manifest", "truncate", "flip", "config text"]))
+        path = run / "checkpoint.bin"
+        if how == "manifest":
+            manifest = json.loads((run / "manifest.json").read_text())
+            block, key = data.draw(st.sampled_from(_MANIFEST_FIELDS))
+            value = data.draw(_MANIFEST_VALUES)
+            if value is _NOT_SET:
+                manifest[block].pop(key, None)
+            else:
+                manifest[block][key] = value
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        elif how == "config text":
+            from rornet.data import load_checkpoint, save_checkpoint
+            state, text = load_checkpoint(path)
+            lines = text.splitlines()
+            lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.sampled_from(
+                _CONFIG_LINES + ["num_classes=5", "levels_m=2", "width_k=2", "sd_p_l=2"]))
+            save_checkpoint(path, state, "\n".join(lines) + "\n")
+    if how in ("truncate", "flip"):
+        raw = bytearray(path.read_bytes())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if how == "truncate":
+            raw = raw[:at]
+        else:
+            raw[at] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+    if command == "plot":
+        return ["plot", str(path), "-o", str(run / "curves.svg"), *window]
+    return ["eval", "--run-dir", str(run)]
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_failure_exits_with_a_documented_code(run_dir, tmp_path_factory, data):
+    """Drawn flag values and damaged run-directory files end in exit 0, 2, 3 or 4,
+    never a traceback. ``--threads`` is left out: ``main`` writes it into the environment."""
+    work = tmp_path_factory.mktemp("fuzz")
+    command = data.draw(st.sampled_from(["build", "analyze", "train", "eval", "plot"]))
+    if command in ("eval", "plot"):
+        argv = _fuzz_run_file(data, shutil.copytree(run_dir, work / "run"), command)
+    else:
+        fuzz = _FUZZ[command]
+        flags = data.draw(st.lists(st.sampled_from(sorted(fuzz)), min_size=1, max_size=2, unique=True))
+        argv = [command] + ([] if {"--depth", "--wrn"} & set(flags) else ["--blocks=1,1,1"])
+        if command == "train":
+            argv += ["--synthetic", "--samples=16", "--classes=4", "--epochs=1", "--batch-size=8",
+                     f"--out-dir={work / 'out'}"]
+        for flag in flags:
+            value = data.draw(fuzz[flag])
+            if flag == "--config":  # the drawn lines in a file, or no lines and no file name
+                (work / "run.cfg").write_text("\n".join(value) + "\n")
+                value = str(work / "run.cfg") if value else ""
+            argv.append(f"{flag}={value}")
+    assert _exit_code(argv) in (0, 2, 3, 4), argv

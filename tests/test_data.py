@@ -12,7 +12,7 @@ import pytest
 import rornet
 from rornet.data import (Dataset, load_cifar, load_checkpoint, save_checkpoint,
                          synthetic_dataset)
-from rornet.exceptions import (CheckpointError, ChecksumError, DataError,
+from rornet.exceptions import (CheckpointError, ChecksumError, ConfigError, DataError,
                                StateNameError, VersionError)
 
 
@@ -149,7 +149,7 @@ class TestSyntheticDataset:
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):  # a bad setting; no file is read
             synthetic_dataset(seed=0, classes=10, n=5)
 
 
