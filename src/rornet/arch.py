@@ -17,6 +17,7 @@ per-block shortcut. With a single level the graph is a plain residual chain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import typing
@@ -67,6 +68,7 @@ class ArchConfig:
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ArchConfig))
+_type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)  # from_csv reads each cell
 
 
 @dataclass(frozen=True)
@@ -445,7 +447,7 @@ def parse_field(schema, key: str, text: str, where: str):
     ``true``/``false``, comma-separated ints (empty parts skipped) or str;
     ``Optional[X]`` reads as X. A bad value raises :class:`ConfigError`
     ``"{where}: bad value for {key}: '{text}'"``."""
-    kind = typing.get_type_hints(schema)[key]
+    kind = _type_hints(schema)[key]
     if typing.get_origin(kind) is typing.Union:
         kind = typing.get_args(kind)[0]
     try:

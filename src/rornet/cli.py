@@ -251,8 +251,11 @@ def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint) if args.checkpoint is not None else run_dir / "checkpoint.bin"
     state, config_text = load_checkpoint(ckpt)
 
-    cfg = config_from_text(config_text)
-    graph = build(cfg)
+    try:
+        cfg = config_from_text(config_text)
+        graph = build(cfg)
+    except ConfigError as e:  # the config text passed its checksum, but is not a model
+        raise DataError(f"{ckpt}: {e}") from None
     graph.load_state(state)
 
     entry = manifest["dataset"]

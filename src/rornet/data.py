@@ -113,6 +113,9 @@ def synthetic_dataset(seed: int, classes: int = 10, n: int = 500,
     if seed < 0 or not 1 <= classes <= n:
         raise ConfigError(f"synthetic data needs a non-negative seed and at least one sample "
                           f"per class: seed={seed}, n={n}, classes={classes}")
+    need = n * 3 * 32 * 32 * 8  # the float64 noise, the largest array made here
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{n} synthetic samples need {need / 2**30:.1f} GiB, more than this machine has")
     rng = np.random.default_rng(seed)
     prototypes = rng.normal(0.0, 1.0, size=(classes, 3, 32, 32))
     labels = np.arange(n, dtype=np.int64) % classes

@@ -137,26 +137,6 @@ class Graph:
 # execution
 # ---------------------------------------------------------------------------
 
-def _active_ids(graph: Graph, dropped_blocks: set[int]) -> set[str]:
-    """Reachable node ids from the output, skipping dropped residual branches."""
-    needed: set[str] = set()
-    stack = [graph.output_id]
-    while stack:
-        nid = stack.pop()
-        if nid in needed:
-            continue
-        needed.add(nid)
-        node = graph.by_id[nid]
-        for i in node.inputs:
-            if (node.op == "add"
-                    and node.attrs.get("block") in dropped_blocks
-                    and i == node.attrs.get("branch")):
-                continue
-            if i not in needed:
-                stack.append(i)
-    return needed
-
-
 def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
             capture: Optional[Iterable[str]] = None):
     """Execute the graph on a batch and return the logits tensor.
@@ -164,14 +144,18 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     ``gates`` (train mode) drops residual branches for this mini-batch;
     ``schedule`` (eval mode) scales each residual branch by its survival
     probability. Level shortcuts are never gated or scaled. When ``capture``
-    names node ids, returns ``(logits, {id: ndarray})`` instead. Eval mode
-    records no tape, so each activation is freed after its last consumer.
-    A relu or addition writes into the buffer of a value it consumes once
-    and last if no taped vjp reads it (``Tensor._read``). In train mode the
-    tape drops, at its last consumer, each value no vjp reads and each one
-    it can rebuild (``Tensor._rebuild``): its ``data`` becomes a
-    :func:`rornet.tensor.placeholder`. The input, captured values and what
-    an addition passes on are neither written into nor dropped.
+    names node ids, returns ``(logits, {id: ndarray})`` instead.
+    One sweep over the nodes in reverse, from the output, plans the call: the
+    nodes that run (a dropped block's branch is never reached), the terms
+    each addition sums, and each value's last consumer, which is the first
+    one the sweep meets. Eval mode records no tape, so each activation is
+    freed after its last consumer. A relu or addition writes into the buffer
+    of a value it consumes once and last if no taped vjp reads it
+    (``Tensor._read``). In train mode the tape drops, at its last consumer,
+    each value no vjp reads and each one it can rebuild (``Tensor._rebuild``):
+    its ``data`` becomes a :func:`rornet.tensor.placeholder`. The input,
+    captured values and what an addition passes on are neither written into
+    nor dropped.
     Each tensor a node creates carries the node's id (``Tensor.node``), which
     makes the training tape single-use: :func:`rornet.tensor.backward` frees
     it as it sweeps, and names the node when a gradient is non-finite.
@@ -198,25 +182,27 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
         raise ConfigError(f"survival schedule has length {len(schedule.probs)}, "
                           f"model has {num_blocks} residual blocks")
 
-    dropped: set[int] = set()
-    if gates is not None:
-        dropped = {l + 1 for l, g in enumerate(gates.gates) if g == 0}
-    active = _active_ids(graph, dropped)
+    dropped = {l + 1 for l, g in enumerate(gates.gates) if g == 0} if gates is not None else set()
 
-    # each value is dropped, and may lend its buffer, at its last active consumer
     capture = set(capture or ())
-    run = [node for node in graph.nodes if node.id in active]
-    last_use: dict[str, str] = {}
     whole = capture | {graph.input_id}  # never written into, nor dropped from the tape
-    for node in run:
+    reached = {graph.output_id}
+    run, terms, ends = [], {}, {}  # what runs; a dropped addition's live terms; id -> values it consumes last
+    for node in reversed(graph.nodes):
+        if node.id not in reached:
+            continue
+        run.append(node)
+        live = node.inputs
         if node.op == "add" and node.attrs.get("block") in dropped:
+            live = terms[node.id] = [i for i in live if i != node.attrs.get("branch")]
             whole.update([node.id, *node.inputs])  # it may return its one term itself
-        for i in node.inputs:
-            last_use[i] = node.id
-    ends: dict[str, list[str]] = {}  # node id -> the values it consumes last
-    for i, nid in last_use.items():
-        if i not in whole:
-            ends.setdefault(nid, []).append(i)
+        for i in live:
+            if i not in reached:
+                reached.add(i)
+                ends.setdefault(node.id, []).append(i)
+    run.reverse()
+    # an addition passing a term on joins ``whole`` after its consumers are met
+    ends = {nid: [i for i in ids if i not in whole] for nid, ids in ends.items()}
 
     captured: dict[str, np.ndarray] = {}
     vals: dict[str, T.Tensor] = {}
@@ -224,7 +210,8 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
         for node in run:
             last = ends.get(node.id, ())
             try:
-                t = _eval_node(graph, node, vals, xt, mode, dropped, schedule, last)
+                t = _eval_node(graph, node, vals, xt, mode, terms.get(node.id, node.inputs),
+                               schedule, last)
             except NumericError as e:
                 raise NumericError(f"{e} (at node {node.id!r}, in forward)") from e
             if t.node is None:  # not an addition passing a term on
@@ -238,14 +225,12 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
                     # no vjp reads it, or backward rebuilds it before one does
                     t.data, t._rebuild = T.placeholder(t.data), t._rebuild if t._read else None
     out = vals[graph.output_id]
-    if capture:
-        return out, captured
-    return out
+    return (out, captured) if capture else out
 
 
 def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
-               dropped: set[int], schedule, last: Sequence[str]) -> T.Tensor:
-    """The node's output; a relu or addition may write into an unread value in ``last``."""
+               live: Sequence[str], schedule, last: Sequence[str]) -> T.Tensor:
+    """The node's output. An addition sums ``live``; a relu or addition may write into an unread ``last``."""
     a = node.attrs
     if node.op == "input":
         return xt
@@ -269,19 +254,15 @@ def _eval_node(graph: Graph, node: Node, vals: dict, xt: T.Tensor, mode: str,
         return T.linear(vals[node.inputs[0]], w, b)
     if node.op == "add":
         block_index = a.get("block")
+        scaled = mode == "eval" and schedule is not None and block_index is not None
         terms, out = [], None
-        for i in node.inputs:
-            is_branch = block_index is not None and i == a.get("branch")
-            if is_branch and block_index in dropped:
-                continue  # branch pruned for this mini-batch
+        for i in live:
             t = vals[i]
-            if is_branch and mode == "eval" and schedule is not None:
+            if scaled and i == a.get("branch"):
                 t = T.scale(t, float(schedule.probs[block_index - 1]))
             if (out is None and len(terms) < 2 and i in last and not t._read
                     and node.inputs.count(i) == 1):
                 out = t.data  # add_n keeps its order by writing only into t0 or t1
             terms.append(t)
-        if len(terms) == 1:
-            return terms[0]
-        return T.add_n(terms, out=out)
+        return terms[0] if len(terms) == 1 else T.add_n(terms, out=out)
     raise ConfigError(f"unknown op {node.op!r} at {node.id!r}")

@@ -10,8 +10,8 @@ Conventions:
   * image layout is N x C x H x W at every op boundary; a convolution of
     any stride works on the zero-padded input's stride phases in NHWC rows
     inside the op (one GEMM per kernel tap, see :func:`conv2d`) split across
-    :func:`worker_count` threads of one BLAS thread each, so its results do
-    not depend on the thread count,
+    :func:`worker_count` threads of one BLAS thread each (once the pool starts, a pthreads
+    OpenBLAS holds every GEMM to one thread, inline ones too); its results do not depend on the thread count,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite, and :func:`backward`
@@ -287,10 +287,10 @@ def _blas_threads_local():
 
 @lru_cache(maxsize=None)
 def worker_count() -> int:
-    """Threads a stride-1 convolution splits its GEMMs across: the BLAS thread
+    """Threads a convolution of any stride splits its GEMMs across: the BLAS thread
     setting (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``) up to the usable
-    CPUs, else those CPUs; 1 without OpenBLAS. Workers run one BLAS thread each,
-    a setting a pthreads OpenBLAS applies to the whole process once the pool starts."""
+    CPUs, else those CPUs; 1 without OpenBLAS. Each worker runs one BLAS thread; once the pool
+    starts, a pthreads OpenBLAS runs every GEMM in the process on one BLAS thread, inline ones too."""
     cpus = len(os.sched_getaffinity(0))
     setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
     wanted = int(setting) if setting.isdigit() else 0  # 0 or unset means every CPU, as in OpenBLAS

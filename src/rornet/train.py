@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .arch import config_to_text
+from .arch import config_to_text, parse_field
 from .data import Dataset, atomic_write, save_checkpoint
 from .exceptions import ConfigError, DataError, NumericError
 from .graph import Graph, forward
@@ -81,7 +81,7 @@ class MetricsRow:
 class MetricsLog:
     rows: list[MetricsRow] = field(default_factory=list)
 
-    CSV_HEADER = ("epoch", "train_loss", "train_err", "test_err", "lr", "wall_seconds", "gate_seed")
+    CSV_HEADER = tuple(f.name for f in fields(MetricsRow))
 
     def append(self, row: MetricsRow) -> None:
         if self.rows and row.epoch != self.rows[-1].epoch + 1:
@@ -106,13 +106,12 @@ class MetricsLog:
             if missing:
                 raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
             for rec in reader:
-                try:
-                    log.append(MetricsRow(int(rec["epoch"]), float(rec["train_loss"]),
-                                          float(rec["train_err"]), float(rec["test_err"]),
-                                          float(rec["lr"]), float(rec["wall_seconds"]),
-                                          int(rec["gate_seed"])))
-                except (TypeError, ValueError) as e:
-                    raise DataError(f"{path}, line {reader.line_num}: {e}") from None
+                where = f"{path}, line {reader.line_num}"
+                try:  # a missing cell is None, which reads as ""
+                    log.append(MetricsRow(*(parse_field(MetricsRow, k, rec[k] or "", where)
+                                            for k in cls.CSV_HEADER)))
+                except ConfigError as e:  # a bad cell names its line, an epoch out of order does not
+                    raise DataError(str(e) if str(e).startswith(where) else f"{where}: {e}") from None
         return log
 
 

@@ -560,6 +560,24 @@ def run_step(g, x, labels, gates, capture):
     return state, caps
 
 
+def reachable(g, gates):
+    """Brute-force reference for the nodes a forward runs: a walk from the
+    output that skips the branch input of each addition whose block is dropped."""
+    dropped = set() if gates is None else {l + 1 for l, b in enumerate(gates.gates) if b == 0}
+    needed, stack = set(), [g.output_id]
+    while stack:
+        nid = stack.pop()
+        if nid in needed:
+            continue
+        needed.add(nid)
+        node = g.by_id[nid]
+        for i in node.inputs:
+            if not (node.op == "add" and node.attrs.get("block") in dropped
+                    and i == node.attrs.get("branch")):
+                stack.append(i)
+    return needed
+
+
 class TestBufferDonation:
     """Writing relu and addition results into their inputs' buffers changes no bit."""
 
@@ -577,7 +595,8 @@ class TestBufferDonation:
         x = r.normal(size=(3, 3, 32, 32)).astype(np.float32)
         x0, labels = x.copy(), r.integers(0, 10, size=3)
         every = [n.id for n in ref.nodes]  # nothing captured is written into
-        want, _ = run_step(ref, x, labels, gates, every)
+        want, ran = run_step(ref, x, labels, gates, every)
+        assert ran.keys() == reachable(ref, gates)  # every node captured is a node that ran
         got, _ = run_step(g, x, labels, gates, None)
         assert got.keys() == want.keys()
         for k in want:

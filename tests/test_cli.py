@@ -246,6 +246,34 @@ class TestTrainEvalCommands:
         assert code == 3
         assert str(manifest) in err and named in err
 
+    @pytest.mark.parametrize("line, drop", [("levels_m=x", ["levels_m"]),
+                                            ("depth=21", ["blocks_per_group", "depth"])])
+    def test_bad_checkpoint_config_text_is_data_error(self, capsys, tmp_path, run_dir, line, drop):
+        # the text passes its checksum, but one value cannot be read or builds no model
+        from rornet.data import load_checkpoint, save_checkpoint
+        run = shutil.copytree(run_dir, tmp_path / "run")
+        ckpt = run / "checkpoint.bin"
+        state, text = load_checkpoint(ckpt)
+        lines = [l for l in text.splitlines() if l.split("=")[0] not in drop] + [line]
+        save_checkpoint(ckpt, state, "\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "eval", "--run-dir", str(run))
+        assert code == 3
+        assert str(ckpt) in err and line.split("=")[0] in err
+
+    def test_oversized_synthetic_sample_count(self, capsys, tmp_path, run_dir):
+        # refused before any array is made; the float64 noise alone would be 224 TiB
+        code, _, err = run_cli(capsys, "train", "--synthetic", "--samples", str(10 ** 13),
+                               "--blocks", "1,1,1", "--out-dir", str(tmp_path / "t"))
+        assert code == 2
+        assert "synthetic samples" in err
+        run = shutil.copytree(run_dir, tmp_path / "run")
+        manifest = run / "manifest.json"
+        m = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**m, "dataset": {**m["dataset"], "samples": 10 ** 13}}))
+        code, _, err = run_cli(capsys, "eval", "--run-dir", str(run))
+        assert code == 3
+        assert str(manifest) in err and "samples" in err
+
     def test_eval_missing_run_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--run-dir", str(tmp_path / "nope"))
         assert code == 3

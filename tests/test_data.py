@@ -152,6 +152,10 @@ class TestSyntheticDataset:
         with pytest.raises(ConfigError):  # a bad setting; no file is read
             synthetic_dataset(seed=0, classes=10, n=5)
 
+    def test_more_samples_than_memory_rejected(self):
+        with pytest.raises(ConfigError, match="GiB"):  # before any array is made
+            synthetic_dataset(seed=0, classes=10, n=10 ** 13)
+
 
 class TestCheckpoint:
     def _state(self, rng):
