@@ -133,10 +133,6 @@ class ResolvedPlan:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def feature_width(self) -> int:
-        return self.blocks[-1].out_channels
-
 
 def _validate_enum(value: str, allowed: Sequence[str], what: str) -> None:
     if value not in allowed:
@@ -263,52 +259,43 @@ def _param_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _conv(g: Graph, name: str, src: str, in_ch: int, out_ch: int, k: int,
-          stride: int, padding: int, seed: int, dtype) -> str:
-    pname = name + ".weight"
-    rng = _param_rng(seed, pname)
-    g.add_param(pname, T.he_init((out_ch, in_ch, k, k), in_ch * k * k, rng, dtype))
-    src_shape = g.by_id[src].shape
-    if src_shape[0] != in_ch:
-        raise ConfigError(f"channel mismatch at {name!r}: upstream has {src_shape[0]}, expected {in_ch}")
-    oh = (src_shape[1] + 2 * padding - k) // stride + 1
-    ow = (src_shape[2] + 2 * padding - k) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ConfigError(f"empty spatial output at {name!r}")
-    g.add_node(name, "conv", [src], {"param": pname, "stride": stride, "padding": padding},
-               (out_ch, oh, ow))
-    return name
+def _spatial(g: Graph, src: str, k: int, stride: int, padding: int) -> tuple[int, ...]:
+    """Height and width of the output of a k x k window sliding over ``src``."""
+    return tuple(T._out_extent(n, k, stride, padding) for n in g.by_id[src].shape[1:])
 
 
-def _bn(g: Graph, name: str, src: str, channels: int, dtype) -> str:
-    g.add_bn_state(name, channels, dtype)
-    g.add_node(name, "bn", [src], {"state": name}, g.by_id[src].shape)
-    return name
+def _conv(g: Graph, name: str, src: str, out_ch: int, k: int, stride: int, padding: int,
+          seed: int, dtype) -> str:
+    pname, in_ch = name + ".weight", g.by_id[src].shape[0]
+    g.add_param(pname, T.he_init((out_ch, in_ch, k, k), in_ch * k * k, _param_rng(seed, pname), dtype))
+    return g.add_node(name, "conv", [src], {"param": pname, "stride": stride, "padding": padding},
+                      (out_ch, *_spatial(g, src, k, stride, padding))).id
+
+
+def _bn(g: Graph, name: str, src: str, dtype) -> str:
+    g.add_bn_state(name, g.by_id[src].shape[0], dtype)
+    return g.add_node(name, "bn", [src], {"state": name}, g.by_id[src].shape).id
 
 
 def _relu(g: Graph, name: str, src: str) -> str:
-    g.add_node(name, "relu", [src], {}, g.by_id[src].shape)
-    return name
+    return g.add_node(name, "relu", [src], {}, g.by_id[src].shape).id
 
 
 def _project(g: Graph, spec: ProjectionSpec, src: str, name: str, seed: int, dtype) -> str:
     """Emit a shortcut projection: a 1x1 conv (B) or a zero-padding subsample (A)."""
     if spec.kind == "B":
-        return _conv(g, name, src, spec.in_channels, spec.out_channels, 1, spec.stride, 0, seed, dtype)
-    _, h, w = g.by_id[src].shape
-    oh, ow = -(-h // spec.stride), -(-w // spec.stride)  # the 1x1 conv's output size
-    g.add_node(name, "pad_project", [src], {"stride": spec.stride, "out_channels": spec.out_channels},
-               (spec.out_channels, oh, ow))
-    return name
+        return _conv(g, name, src, spec.out_channels, 1, spec.stride, 0, seed, dtype)
+    return g.add_node(name, "pad_project", [src],
+                      {"stride": spec.stride, "out_channels": spec.out_channels},
+                      (spec.out_channels, *_spatial(g, src, 1, spec.stride, 0))).id
 
 
-def _branch_convs(block: BlockPlan, block_size: str) -> list[tuple[int, int, int, int, int]]:
-    """``(in, out, kernel, stride, padding)`` of each residual-branch conv, in order."""
-    cin, cout, mid, stride = block.in_channels, block.out_channels, block.mid_channels, block.stride
+def _branch_convs(block: BlockPlan, block_size: str) -> list[tuple[int, int, int, int]]:
+    """``(out, kernel, stride, padding)`` of each residual-branch conv, in order."""
+    cout, mid, stride = block.out_channels, block.mid_channels, block.stride
     if block_size == "bottleneck":
-        return [(cin, mid, 1, 1, 0), (mid, mid, 3, stride, 1), (mid, cout, 1, 1, 0)]
-    return [(cin if i == 0 else cout, cout, 3, stride if i == 0 else 1, 1)
-            for i in range(3 if block_size == "b333" else 2)]
+        return [(mid, 1, 1, 0), (mid, 3, stride, 1), (cout, 1, 1, 0)]
+    return [(cout, 3, stride if i == 0 else 1, 1) for i in range(3 if block_size == "b333" else 2)]
 
 
 def _level_projections(plan: ResolvedPlan) -> dict[int, list[tuple[str, LevelShortcut]]]:
@@ -335,7 +322,9 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     bn-relu-conv for ``pre_act`` (the addition is the block output). Each
     level projection is emitted at its destination block, just before that
     block's addition, whose inputs are the identity (or its projection), the
-    branch and then the level terms in plan order.
+    branch and then the level terms in plan order. Each emitter reads its
+    input width and spatial size from its source node: the graph under
+    construction is the one record of every shape.
 
     Deterministic given (config, seed): every parameter draws from its own
     named stream, so identical names receive identical initial values across
@@ -352,13 +341,12 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     g.input_id = "input"
 
     k, stride, pad = (3, 1, 1) if plan.family == "cifar" else (7, 2, 3)
-    out = _conv(g, "stem.conv", "input", 3, plan.stem_width, k, stride, pad, seed, dtype)
+    out = _conv(g, "stem.conv", "input", plan.stem_width, k, stride, pad, seed, dtype)
     if order == "post_act":
-        out = _relu(g, "stem.relu", _bn(g, "stem.bn", out, plan.stem_width, dtype))
+        out = _relu(g, "stem.relu", _bn(g, "stem.bn", out, dtype))
     if plan.family == "imagenet":
-        c, h, w = g.by_id[out].shape
         out = g.add_node("stem.pool", "maxpool", [out], {"kernel": 3, "stride": 2, "padding": 1},
-                         (c, (h - 1) // 2 + 1, (w - 1) // 2 + 1)).id
+                         (g.by_id[out].shape[0], *_spatial(g, out, 3, 2, 1))).id
 
     levels = _level_projections(plan)
     xs = [out]  # xs[k] is the output of block k; xs[0] is the stem output
@@ -366,12 +354,12 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
         for pos, block in enumerate(group, start=1):
             name, h = f"group{block.group}.block{pos:03d}", xs[-1]
             convs = _branch_convs(block, plan.block_size)
-            for i, (cin, cout, k, stride, pad) in enumerate(convs, start=1):
+            for i, (cout, k, stride, pad) in enumerate(convs, start=1):
                 if order == "pre_act":
-                    h = _relu(g, f"{name}.relu{i}", _bn(g, f"{name}.bn{i}", h, cin, dtype))
-                h = _conv(g, f"{name}.conv{i}", h, cin, cout, k, stride, pad, seed, dtype)
+                    h = _relu(g, f"{name}.relu{i}", _bn(g, f"{name}.bn{i}", h, dtype))
+                h = _conv(g, f"{name}.conv{i}", h, cout, k, stride, pad, seed, dtype)
                 if order == "post_act":
-                    h = _bn(g, f"{name}.bn{i}", h, cout, dtype)
+                    h = _bn(g, f"{name}.bn{i}", h, dtype)
                     if i < len(convs):
                         h = _relu(g, f"{name}.relu{i}", h)
             identity = xs[-1] if block.shortcut is None else \
@@ -388,10 +376,10 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
 
     out = xs[-1]
     if order == "pre_act":
-        out = _relu(g, "epilogue.relu", _bn(g, "epilogue.bn", out, plan.feature_width, dtype))
+        out = _relu(g, "epilogue.relu", _bn(g, "epilogue.bn", out, dtype))
 
-    g.add_node("head.gap", "gap", [out], {}, (plan.feature_width,))
-    feat = plan.feature_width
+    feat = g.by_id[out].shape[0]
+    g.add_node("head.gap", "gap", [out], {}, (feat,))
     wname, bname = "head.fc.weight", "head.fc.bias"
     g.add_param(wname, T.he_init((config.num_classes, feat), feat, _param_rng(seed, wname), dtype))
     g.add_param(bname, np.zeros(config.num_classes, dtype=dtype))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .exceptions import (CheckpointError, ChecksumError, ConfigError, DataError,
                          StateNameError, VersionError)
+from .tensor import check_memory
 
 C10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 C10_TEST_FILES = ["test_batch.bin"]
@@ -113,15 +114,15 @@ def synthetic_dataset(seed: int, classes: int = 10, n: int = 500,
     if seed < 0 or not 1 <= classes <= n:
         raise ConfigError(f"synthetic data needs a non-negative seed and at least one sample "
                           f"per class: seed={seed}, n={n}, classes={classes}")
-    need = n * 3 * 32 * 32 * 8  # the float64 noise, the largest array made here
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(f"{n} synthetic samples need {need / 2**30:.1f} GiB, more than this machine has")
+    # the float64 images and noise, alive together at the peak, with the prototypes and labels
+    check_memory((2 * n + classes) * _PIXELS * 8 + 8 * n, f"{n} synthetic samples")
     rng = np.random.default_rng(seed)
-    prototypes = rng.normal(0.0, 1.0, size=(classes, 3, 32, 32))
     labels = np.arange(n, dtype=np.int64) % classes
-    noise = rng.normal(0.0, 1.0, size=(n, 3, 32, 32))
-    images = 0.5 + proto_scale * prototypes[labels] + noise_scale * noise
-    images = np.clip(images, 0.0, 1.0).astype(np.float32)
+    # 0.5 + a * prototype + b * noise, summed in place in that order; each draw comes scaled
+    images = rng.normal(0.0, proto_scale, size=(classes, 3, 32, 32))[labels]
+    images += 0.5
+    images += rng.normal(0.0, noise_scale, size=(n, 3, 32, 32))
+    images = np.clip(images, 0.0, 1.0, out=images).astype(np.float32)
     digest = hashlib.sha256(images.astype("<f4").tobytes()
                             + labels.astype("<i8").tobytes()).hexdigest()
     return Dataset(images, labels, classes, split, digest)

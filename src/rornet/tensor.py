@@ -58,6 +58,7 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "he_init",
+    "check_memory",
     "no_tape",
     "placeholder",
     "worker_count",
@@ -779,10 +780,18 @@ def backward(loss: Tensor) -> None:
             node._parents, node._vjp, node._rebuild = (), _released, None
 
 
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise :class:`ConfigError` when ``what`` needs more than this machine's physical memory."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{what} would take {nbytes / 2**30:.1f} GiB, more than this machine has")
+
+
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
             dtype=np.float32) -> np.ndarray:
     """Zero-mean normal draw with variance 2/fan_in, deterministic per rng state."""
     if fan_in <= 0:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
+    # the float64 draw and its cast, alive together
+    check_memory(math.prod(shape) * (8 + np.dtype(dtype).itemsize), f"the draw of a {shape} parameter")
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import central_diff, relative_errors
+from rornet import tensor as T
 from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
                          config_to_text, resolve_config)
 from rornet.exceptions import ConfigError, NumericError
 from rornet.graph import Graph, forward
-from rornet.stochastic_depth import GateVector, survival_schedule
+from rornet.stochastic_depth import GateVector, SurvivalSchedule, survival_schedule
 from rornet.tensor import Tensor, backward, relu, softmax_cross_entropy
 
 
@@ -597,6 +599,8 @@ class TestBufferDonation:
         every = [n.id for n in ref.nodes]  # nothing captured is written into
         want, ran = run_step(ref, x, labels, gates, every)
         assert ran.keys() == reachable(ref, gates)  # every node captured is a node that ran
+        for nid, arr in ran.items():  # the builder's shapes are the shapes the ops make
+            assert arr.shape == (3, *ref.by_id[nid].shape), nid
         got, _ = run_step(g, x, labels, gates, None)
         assert got.keys() == want.keys()
         for k in want:
@@ -656,6 +660,101 @@ class TestBufferDonation:
                 arr = arr.base
             roots.append(id(arr))
         assert len(set(roots)) == len(roots)  # the reference lent no buffer
+
+
+def plain_loss(g, x, labels, gates, relu_signs=None):
+    """The training loss by a reference forward: each node's op on the values of
+    its inputs, with no tape, no buffer written into and no value dropped. An
+    addition whose block is dropped sums its other terms. ``relu_signs``, when
+    given, collects which inputs of each ReLU are positive."""
+    dropped = set() if gates is None else {l + 1 for l, b in enumerate(gates.gates) if b == 0}
+    vals = {}
+    with T.no_tape():
+        for node in g.nodes:
+            a = node.attrs
+            ins = [vals[i] for i in node.inputs
+                   if not (a.get("block") in dropped and i == a.get("branch"))]
+            if node.op == "input":
+                out = Tensor(x)
+            elif node.op == "conv":
+                out = T.conv2d(ins[0], g.params[a["param"]].tensor, a["stride"], a["padding"])
+            elif node.op == "bn":
+                out = T.batch_norm(ins[0], g.bn[a["state"]], "train")
+            elif node.op == "relu":
+                if relu_signs is not None:
+                    relu_signs.append((ins[0].data > 0).tobytes())
+                out = T.relu(ins[0])
+            elif node.op == "pad_project":
+                out = T.subsample_pad(ins[0], a["stride"], a["out_channels"])
+            elif node.op == "gap":
+                out = T.global_avg_pool(ins[0])
+            elif node.op == "linear":
+                out = T.linear(ins[0], g.params[a["weight"]].tensor, g.params[a["bias"]].tensor)
+            else:
+                assert node.op == "add", node.op
+                out = ins[0] if len(ins) == 1 else T.add_n(ins)
+            vals[node.id] = out
+        return float(softmax_cross_entropy(vals[g.output_id], labels).data)
+
+
+class TestFiniteDifferences:
+    """The executor's float64 gradients against central differences of
+    :func:`plain_loss`, an oracle that shares none of the executor's buffer
+    lending, value dropping or rebuilding."""
+
+    CASES = [((1, 1, 1), 3, "post_act", "A", "B", None),
+             ((1, 1, 1), 3, "pre_act", "B", "A", None),
+             ((2, 1, 1), 3, "post_act", "B", "A", (1, 0, 1, 0)),
+             ((2, 1, 1), 2, "pre_act", "A", "B", (0, 1, 1, 0))]
+
+    @pytest.mark.parametrize("blocks, m, order, final, upper, bits", CASES)
+    def test_gradients_match_central_differences(self, blocks, m, order, final, upper, bits):
+        cfg = ArchConfig(blocks_per_group=blocks, levels_m=m, block_order=order,
+                         final_shortcut=final, upper_shortcut=upper)
+        g = build(cfg, seed=11, dtype=np.float64)
+        gates = None if bits is None else GateVector(np.array(bits, dtype=np.uint8), 0)
+        r = np.random.default_rng(len(blocks) * 10 + m)
+        x, labels = r.normal(0.5, 0.25, size=(2, 3, 32, 32)), np.array([3, 7])
+        loss = softmax_cross_entropy(forward(g, x, mode="train", gates=gates), labels)
+        backward(loss)
+        signs = []
+        assert np.isclose(float(loss.data), plain_loss(g, x, labels, gates, signs), rtol=1e-12, atol=0)
+        pick, checked, kinks = np.random.default_rng(5), 0, 0
+        for p in g.parameters():
+            grad = p.tensor.grad if p.tensor.grad is not None else np.zeros_like(p.data)  # dropped
+            for i in pick.choice(p.data.size, size=min(3, p.data.size), replace=False):
+                moved = []
+                fd = central_diff(lambda: plain_loss(g, x, labels, gates, moved), p.data, [i], h=1e-5)
+                if moved != signs * 2:  # a step across a ReLU kink measures no derivative
+                    kinks += 1
+                    continue
+                checked += 1
+                err = relative_errors(grad.reshape(-1)[[i]], fd, floor=1e-6).max()
+                assert err < 1e-4, (p.name, i, err)
+        assert kinks <= (checked + kinks) // 4, (kinks, checked)  # most entries are measured
+
+
+class TestLesion:
+    """A survival probability of 0 removes a block exactly (x + 0 == x)."""
+
+    @pytest.mark.parametrize("order", ["post_act", "pre_act"])
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_a_lesioned_addition_sums_its_other_terms(self, order, kind, rng):
+        g = build(ArchConfig(blocks_per_group=(2, 2, 2), levels_m=3, block_order=order,
+                             final_shortcut=kind, upper_shortcut=kind), seed=2)
+        x = rng.normal(0.5, 0.25, size=(2, 3, 32, 32)).astype(np.float32)
+        probs = survival_schedule(g.meta["num_blocks"], 0.5).probs
+        for add in g.add_nodes():
+            lesioned = probs.copy()
+            lesioned[add.attrs["block"] - 1] = 0.0
+            _, caps = forward(g, x, mode="eval", schedule=SurvivalSchedule(lesioned, 0.5),
+                              capture=[add.id, *add.inputs])
+            others = [caps[i] for i in add.inputs if i != add.attrs["branch"]]
+            want = others[0].copy()
+            for t in others[1:]:
+                want += t
+            assert np.array_equal(caps[add.id], want), add.id
+
 
 class TestConfigText:
     def test_round_trip(self):

@@ -26,6 +26,15 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _run_rornet(argv, env=None):
+    """``python -m rornet.cli`` in a fresh process, with this checkout's ``rornet`` importable."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(rornet.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rornet.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestBuildCommand:
     def test_ror3_164_summary(self, capsys):
         code, out, _ = run_cli(capsys, "build", "--depth", "164", "--levels", "3")
@@ -127,6 +136,18 @@ class TestAnalyzeCommand:
         assert lines[0] == "metric,value"
         assert all("," in l for l in lines[1:])
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--depth", "20", "--classes", str(10 ** 13)],
+        ["build", "--depth", "20", "--classes", str(10 ** 19)],
+        ["build", "--depth", "16", "--width", str(10 ** 12)],
+        ["analyze", "--params", "--depth", "20", "--classes", str(10 ** 13)],
+    ])
+    def test_oversized_model_is_a_config_error(self, argv):
+        # refused before the draw; every size here is past the address space
+        got = _run_rornet(argv)
+        assert got.returncode == 2, got.stderr
+        assert "more than this machine has" in got.stderr and "Traceback" not in got.stderr
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -151,13 +172,10 @@ class TestTrainEvalCommands:
         # with no setting the manifest used to record "default"
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        src = str(Path(rornet.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argv = (["--threads", threads] if threads else []) + [
             "train", "--synthetic", "--samples", "16", "--classes", "4", "--blocks", "1,1,1",
             "--epochs", "1", "--batch-size", "8", "--out-dir", str(tmp_path)]
-        subprocess.run([sys.executable, "-m", "rornet.cli", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        _run_rornet(argv, env).check_returncode()
         recorded = json.loads((tmp_path / "manifest.json").read_text())["threads"]
         cpus = len(os.sched_getaffinity(0)) if T._blas_threads_local() else 1
         assert recorded == (1 if threads else cpus)
@@ -273,6 +291,17 @@ class TestTrainEvalCommands:
         code, _, err = run_cli(capsys, "eval", "--run-dir", str(run))
         assert code == 3
         assert str(manifest) in err and "samples" in err
+
+    def test_oversized_checkpoint_model_is_a_data_error(self, tmp_path, run_dir):
+        from rornet.data import load_checkpoint, save_checkpoint
+        run = shutil.copytree(run_dir, tmp_path / "run")
+        ckpt = run / "checkpoint.bin"
+        state, text = load_checkpoint(ckpt)
+        lines = [l for l in text.splitlines() if not l.startswith("num_classes=")]
+        save_checkpoint(ckpt, state, "\n".join(lines + [f"num_classes={10 ** 13}"]) + "\n")
+        got = _run_rornet(["eval", "--run-dir", str(run)])
+        assert got.returncode == 3, got.stderr
+        assert str(ckpt) in got.stderr and "Traceback" not in got.stderr
 
     def test_eval_missing_run_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--run-dir", str(tmp_path / "nope"))

@@ -4,12 +4,14 @@ and checkpoint container round-trips."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rornet
+import rornet.data
 from rornet.data import (Dataset, load_cifar, load_checkpoint, save_checkpoint,
                          synthetic_dataset)
 from rornet.exceptions import (CheckpointError, ChecksumError, ConfigError, DataError,
@@ -155,6 +157,23 @@ class TestSyntheticDataset:
     def test_more_samples_than_memory_rejected(self):
         with pytest.raises(ConfigError, match="GiB"):  # before any array is made
             synthetic_dataset(seed=0, classes=10, n=10 ** 13)
+
+    def test_digest_pinned(self):
+        # the digest of the out-of-place formula the in-place one replaced
+        ds = synthetic_dataset(3, 10, 500, "hard")
+        assert ds.digest == "e90ca204d634b8ad755117adbdc0df6b973631c8a192593ef666c5a6766004cf"
+
+    def test_peak_memory_is_within_what_the_check_counts(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(rornet.data, "check_memory", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            synthetic_dataset(3, 10, 500, "hard")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise = 500 * 3 * 32 * 32 * 8
+        assert 2 * noise <= peak <= counted[0]  # the images and the noise are alive together
 
 
 class TestCheckpoint:
