@@ -23,7 +23,7 @@ import math
 import typing
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -253,21 +253,15 @@ def _plan_level_shortcuts(m: int, groups: list[GroupPlan], blocks: list[BlockPla
 # graph emission
 # ---------------------------------------------------------------------------
 
-def _param_rng(seed: int, name: str) -> np.random.Generator:
-    # one independent stream per parameter so unrelated config changes
-    # (extra shortcuts, different m) never shift the shared initializations
-    return np.random.default_rng([seed, zlib.crc32(name.encode())])
-
-
 def _spatial(g: Graph, src: str, k: int, stride: int, padding: int) -> tuple[int, ...]:
     """Height and width of the output of a k x k window sliding over ``src``."""
     return tuple(T._out_extent(n, k, stride, padding) for n in g.by_id[src].shape[1:])
 
 
 def _conv(g: Graph, name: str, src: str, out_ch: int, k: int, stride: int, padding: int,
-          seed: int, dtype) -> str:
+          he_param: Callable) -> str:
     pname, in_ch = name + ".weight", g.by_id[src].shape[0]
-    g.add_param(pname, T.he_init((out_ch, in_ch, k, k), in_ch * k * k, _param_rng(seed, pname), dtype))
+    he_param(pname, (out_ch, in_ch, k, k), in_ch * k * k)
     return g.add_node(name, "conv", [src], {"param": pname, "stride": stride, "padding": padding},
                       (out_ch, *_spatial(g, src, k, stride, padding))).id
 
@@ -281,10 +275,10 @@ def _relu(g: Graph, name: str, src: str) -> str:
     return g.add_node(name, "relu", [src], {}, g.by_id[src].shape).id
 
 
-def _project(g: Graph, spec: ProjectionSpec, src: str, name: str, seed: int, dtype) -> str:
+def _project(g: Graph, spec: ProjectionSpec, src: str, name: str, he_param: Callable) -> str:
     """Emit a shortcut projection: a 1x1 conv (B) or a zero-padding subsample (A)."""
     if spec.kind == "B":
-        return _conv(g, name, src, spec.out_channels, 1, spec.stride, 0, seed, dtype)
+        return _conv(g, name, src, spec.out_channels, 1, spec.stride, 0, he_param)
     return g.add_node(name, "pad_project", [src],
                       {"stride": spec.stride, "out_channels": spec.out_channels},
                       (spec.out_channels, *_spatial(g, src, 1, spec.stride, 0))).id
@@ -326,9 +320,11 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     input width and spatial size from its source node: the graph under
     construction is the one record of every shape.
 
+    Emission records each He-initialised weight (:func:`tensor.he_draw`); once
+    the graph is emitted, :func:`tensor.run_draws` draws them on the worker pool.
     Deterministic given (config, seed): every parameter draws from its own
     named stream, so identical names receive identical initial values across
-    different level counts.
+    different level counts, whichever thread draws them.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -339,9 +335,17 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
               meta={"dtype": dtype, "num_blocks": plan.num_blocks, "plan": plan})
     g.add_node("input", "input", [], {}, plan.input_shape)
     g.input_id = "input"
+    draws = []
+
+    def he_param(name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        # one independent stream per parameter so unrelated config changes
+        # (extra shortcuts, different m) never shift the shared initializations
+        draw = T.he_draw(shape, fan_in, np.random.default_rng([seed, zlib.crc32(name.encode())]), dtype)
+        g.add_param(name, draw[0])
+        draws.append(draw)
 
     k, stride, pad = (3, 1, 1) if plan.family == "cifar" else (7, 2, 3)
-    out = _conv(g, "stem.conv", "input", plan.stem_width, k, stride, pad, seed, dtype)
+    out = _conv(g, "stem.conv", "input", plan.stem_width, k, stride, pad, he_param)
     if order == "post_act":
         out = _relu(g, "stem.relu", _bn(g, "stem.bn", out, dtype))
     if plan.family == "imagenet":
@@ -357,14 +361,14 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
             for i, (cout, k, stride, pad) in enumerate(convs, start=1):
                 if order == "pre_act":
                     h = _relu(g, f"{name}.relu{i}", _bn(g, f"{name}.bn{i}", h, dtype))
-                h = _conv(g, f"{name}.conv{i}", h, cout, k, stride, pad, seed, dtype)
+                h = _conv(g, f"{name}.conv{i}", h, cout, k, stride, pad, he_param)
                 if order == "post_act":
                     h = _bn(g, f"{name}.bn{i}", h, dtype)
                     if i < len(convs):
                         h = _relu(g, f"{name}.relu{i}", h)
             identity = xs[-1] if block.shortcut is None else \
-                _project(g, block.shortcut, xs[-1], f"{name}.shortcut", seed, dtype)
-            terms = [identity, h] + [_project(g, ls.spec, xs[ls.src_block], lname, seed, dtype)
+                _project(g, block.shortcut, xs[-1], f"{name}.shortcut", he_param)
+            terms = [identity, h] + [_project(g, ls.spec, xs[ls.src_block], lname, he_param)
                                      for lname, ls in levels.get(block.index, [])]
             shape = g.by_id[h].shape
             for t in terms:
@@ -381,11 +385,12 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     feat = g.by_id[out].shape[0]
     g.add_node("head.gap", "gap", [out], {}, (feat,))
     wname, bname = "head.fc.weight", "head.fc.bias"
-    g.add_param(wname, T.he_init((config.num_classes, feat), feat, _param_rng(seed, wname), dtype))
+    he_param(wname, (config.num_classes, feat), feat)
     g.add_param(bname, np.zeros(config.num_classes, dtype=dtype))
     g.add_node("head.fc", "linear", ["head.gap"], {"weight": wname, "bias": bname},
                (config.num_classes,))
     g.output_id = "head.fc"
+    T.run_draws(draws)
     return g
 
 

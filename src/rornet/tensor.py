@@ -12,6 +12,8 @@ Conventions:
     inside the op (one GEMM per kernel tap, see :func:`conv2d`) split across
     :func:`worker_count` threads of one BLAS thread each (once the pool starts, a pthreads
     OpenBLAS holds every GEMM to one thread, inline ones too); its results do not depend on the thread count,
+  * a model build draws its He-initial weights on the same pool (:func:`run_draws`),
+    each from its own generator, so no bit depends on the thread that draws it,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite, and :func:`backward`
@@ -58,6 +60,8 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "he_init",
+    "he_draw",
+    "run_draws",
     "check_memory",
     "no_tape",
     "placeholder",
@@ -268,6 +272,7 @@ def _unphase(flat: np.ndarray, stride: int, pad: int, phases: tuple[int, int],
 
 
 _TAP_BLOCK = 2048  # output rows per block: a block's partial sums stay in cache
+_DRAW_CHUNK = 1 << 16  # normal draws per call: bounds each worker's float64 buffer
 _pool: Optional[ThreadPoolExecutor] = None
 
 
@@ -300,8 +305,9 @@ def worker_count() -> int:
 
 def _parallel(fn: Callable, items: Sequence, span: int) -> None:
     """Run ``fn`` over contiguous runs of ``items``, one per pool worker, when each
-    worker gets a full block of the ``span`` GEMM rows, else ``fn(items)`` inline.
-    Waits for every run before re-raising the first failure: no worker outlives it."""
+    worker gets at least ``_TAP_BLOCK`` of the ``span`` units of work (GEMM rows,
+    or weights drawn), else ``fn(items)`` inline. Waits for every run before
+    re-raising the first failure: no worker outlives it."""
     global _pool
     n = min(len(items), worker_count()) if span // _TAP_BLOCK >= worker_count() else 1
     if n == 1:
@@ -404,9 +410,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     def vjp(g: np.ndarray):
         # output gradient on the phase grid, behind ``lead`` zero rows so
-        # grad-x can read it at non-negative offsets
-        gbig = np.zeros((lead + rows, cout), dtype=dtype)
-        gbig[lead:].reshape(n, hq, wq, cout)[:, :oh, :ow, :] = g.transpose(0, 2, 3, 1)
+        # grad-x can read it at non-negative offsets; only what the scatter
+        # leaves is zeroed, which for a 1x1 conv is nothing
+        gbig = np.empty((lead + rows, cout), dtype=dtype)
+        grid = gbig[lead:].reshape(n, hq, wq, cout)
+        gbig[:lead], grid[:, oh:], grid[:, :oh, ow:] = 0, 0, 0
+        grid[:, :oh, :ow] = g.transpose(0, 2, 3, 1)
         gx = gw = None
         if weight.requires_grad:
             xc = _phase_flat(x.data, stride, padding, (ph, pw), (hq, wq), dtype, channel_major=True)
@@ -788,10 +797,35 @@ def check_memory(nbytes: int, what: str) -> None:
 
 def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
             dtype=np.float32) -> np.ndarray:
-    """Zero-mean normal draw with variance 2/fan_in, deterministic per rng state."""
+    """Zero-mean normal draw with variance 2/fan_in, deterministic per rng state:
+    the bits of ``rng.normal(0.0, sqrt(2/fan_in), shape).astype(dtype)``."""
+    draw = he_draw(shape, fan_in, rng, dtype)
+    run_draws([draw])
+    return draw[0]
+
+
+def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype=np.float32) -> tuple:
+    """A :func:`he_init` draw for :func:`run_draws`: its output, made unfilled
+    in the calling thread once the checks pass, its std and its rng."""
     if fan_in <= 0:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
-    # the float64 draw and its cast, alive together
-    check_memory(math.prod(shape) * (8 + np.dtype(dtype).itemsize), f"the draw of a {shape} parameter")
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    check_memory(math.prod(shape) * np.dtype(dtype).itemsize, f"the draw of a {shape} parameter")
+    return np.empty(shape, dtype=dtype), math.sqrt(2.0 / fan_in), rng
+
+
+def run_draws(draws: Sequence[tuple]) -> None:
+    """Fill each :func:`he_draw` output on the pool workers, dealt round robin so
+    their runs hold about equal element counts. A draw reads only its own rng:
+    no bit depends on the order or the thread. A worker draws chunks into one
+    float64 buffer and casts each into place, so no output lands in its arena."""
+    n = worker_count()
+
+    def run(part) -> None:
+        buf = np.empty(_DRAW_CHUNK)
+        for out, std, rng in part:
+            for dst in np.split(out.reshape(-1), range(_DRAW_CHUNK, out.size, _DRAW_CHUNK)):
+                z = rng.standard_normal(out=buf[:dst.size])
+                z *= std
+                np.add(z, 0.0, out=dst)  # Generator.normal's loc + scale * z
+
+    _parallel(run, [d for i in range(n) for d in draws[i::n]], sum(d[0].size for d in draws))

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from rornet import tensor as T
 from rornet.tensor import Tensor, backward
 
 
@@ -84,3 +87,26 @@ def check_gradient(op_fn, arrays, h: float = 1e-5, samples: int = 6,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@contextmanager
+def workers(count):
+    """Run convolutions and weight draws with ``count`` pool workers, even on a 1-CPU machine.
+
+    The pool started here is shut down on exit. The calling thread runs its
+    own GEMMs on one BLAS thread too, as the pool's workers do, so an inline
+    run and a split run make the same calls.
+    """
+    blas = T._blas_threads_local()
+    if blas is None:
+        pytest.skip("the worker pool needs numpy linked against OpenBLAS")
+    saved = T.worker_count, T._pool
+    T.worker_count, T._pool = (lambda: count), None
+    previous = blas(1)
+    try:
+        yield
+    finally:
+        if T._pool is not None:
+            T._pool.shutdown()
+        T.worker_count, T._pool = saved
+        blas(previous)

@@ -41,6 +41,7 @@ from rornet.stochastic_depth import (nominal_compute_saving, sample_gates,
 from rornet.train import (CIFAR_MILESTONES, SVHN_MILESTONES, TrainConfig, lr_at,
                           normalize_dataset, sgd_step, train)
 from test_analysis import dfs_paths
+from test_arch import plain_loss
 from test_data import write_c10_fixture
 
 
@@ -239,6 +240,34 @@ def test_criterion_3_gradient_soundness():
            f"{len(params)} parameters, worst rel err {worst:.2e} ({worst_name}) "
            f"in {elapsed:.0f}s")
     assert elapsed < 300.0
+
+
+def test_criterion_3_steps_cross_no_relu_kink():
+    """No central-difference step of criterion 3 (same seed, model, input and
+    sample) moves a ReLU input across zero. A step across a kink measures no
+    derivative: should criterion 3 fail while this passes, a gradient is at
+    fault; should both fail, this names the entries that crossed. The rule is
+    ``TestFiniteDifferences``': the ReLU signs at both steps equal those of
+    the unperturbed forward."""
+    g = build(ArchConfig(depth=14, levels_m=3), seed=7, dtype=np.float64)
+    rng = np.random.default_rng(41)
+    x = rng.normal(0.5, 0.25, size=(2, 3, 32, 32))
+    labels = np.array([3, 7])
+    signs = []
+    loss = plain_loss(g, x, labels, None, signs)
+    assert np.isclose(loss, float(T.softmax_cross_entropy(forward(g, x, mode="train"), labels).data),
+                      rtol=1e-12, atol=0)
+    sample_rng = np.random.default_rng(99)
+    crossed, sampled = [], 0
+    for p in g.parameters():
+        for i in sample_rng.choice(p.data.size, size=min(4, p.data.size), replace=False):
+            moved = []
+            central_diff(lambda: plain_loss(g, x, labels, None, moved), p.data, [i], h=1e-5)
+            sampled += 1
+            if moved != signs * 2:
+                crossed.append((p.name, int(i)))
+    assert sampled == 188
+    assert not crossed, crossed
 
 
 def test_criterion_4_stochastic_depth_statistics():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, relative_errors
+from conftest import central_diff, relative_errors, workers
 from rornet import tensor as T
 from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
                          config_to_text, resolve_config)
@@ -349,6 +349,69 @@ class TestBuild:
             st.running_var = val.var(axis=(0, 2, 3))
         y_eval = forward(g, x, mode="eval").data
         np.testing.assert_allclose(y_eval, y_train.data, atol=1e-10)
+
+
+# He et al., arXiv 1512.03385, Table 1: block kind and blocks per stage
+# (conv2_x..conv5_x, base widths 64/128/256/512, 4x output for bottlenecks)
+TABLE_1 = {18: ("basic", (2, 2, 2, 2)), 34: ("basic", (3, 4, 6, 3)),
+           101: ("bottleneck", (3, 4, 23, 3)), 152: ("bottleneck", (3, 8, 36, 3))}
+
+
+def imagenet_param_counts(depth, levels_m, num_classes=1000):
+    """Closed-form parameter count of a post-activation ImageNet ResNet with
+    type-B shortcuts, by class, written from Table 1 of He et al. alone: a
+    7x7 64-wide stem conv and its BN; per block two 3x3 convs (basic) or
+    1x1-3x3-1x1 (bottleneck), each with a BN; a 1x1 projection wherever a
+    block changes width or stride; the level shortcuts (the root from the
+    stem pool to the last block, one per stage at m=3), 1x1 convs with no BN;
+    then a linear head with bias."""
+    kind, counts = TABLE_1[depth]
+    c = dict(conv=3 * 64 * 7 * 7, bn=2 * 64, proj=0, level=0)
+    c_in = 64
+    for stage, (w, n) in enumerate(zip((64, 128, 256, 512), counts)):
+        out = w if kind == "basic" else 4 * w
+        if kind == "basic":
+            widths = [(c_in, w, 9), (w, w, 9)] + [(w, w, 9)] * 2 * (n - 1)
+        else:
+            widths = [(c_in, w, 1), (w, w, 9), (w, out, 1)] + [(out, w, 1), (w, w, 9), (w, out, 1)] * (n - 1)
+        c["conv"] += sum(a * b * k for a, b, k in widths)
+        c["bn"] += sum(2 * b for _, b, _ in widths)
+        if stage > 0 or c_in != out:
+            c["proj"] += c_in * out
+        if levels_m >= 3:
+            c["level"] += c_in * out
+        c_in = out
+    if levels_m >= 2:
+        c["level"] += 64 * c_in
+    c["head"] = c_in * num_classes + num_classes
+    return c
+
+
+class TestImageNetParameterCounts:
+    @pytest.mark.parametrize("depth", sorted(TABLE_1))
+    def test_builds_match_the_closed_form(self, depth):
+        for m in (1, 2, 3):
+            g = build(ArchConfig(family="imagenet", depth=depth, levels_m=m, final_shortcut="B",
+                                 num_classes=1000))
+            built = dict.fromkeys(("conv", "bn", "proj", "level", "head"), 0)
+            for name, p in g.params.items():
+                if name.startswith("head."):
+                    kind = "head"
+                elif name.startswith("level"):
+                    kind = "level"
+                elif name.endswith((".gamma", ".beta")):
+                    kind = "bn"
+                else:
+                    kind = "proj" if ".shortcut." in name else "conv"
+                built[kind] += p.data.size
+            assert built == imagenet_param_counts(depth, m), (depth, m)
+            del g
+
+    def test_plain_totals_are_he_et_al_s(self):
+        # at m=1 these are ResNet-18/34/101/152, less the BN that the common
+        # reference implementation puts after each projection
+        totals = {d: sum(imagenet_param_counts(d, 1).values()) for d in TABLE_1}
+        assert totals == {18: 11_687_720, 34: 21_795_880, 101: 44_541_480, 152: 60_185_128}
 
 
 class TestTapeFreeEval:
@@ -855,3 +918,22 @@ class TestGoldenBuild:
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == state_digest
+
+    # depth 20 at m=3, seed 5, built at float64
+    FLOAT64_STATE = "9e516ba391ad606a2f4e380262265add58bf216c1cd7ea1be5734575ff104eeb"
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_state_does_not_depend_on_the_worker_count(self, count):
+        # every weight draws from its own stream, so no split of the draws
+        # across workers, and no order among them, can move a bit
+        # every fifth pinned config from depth 20 at m=3 takes in pre-act
+        # b333, mixed group sizes and pre-act ImageNet-101 (44.6M weights)
+        cases = [(kwargs, np.float32, want) for kwargs, _, want in self.GOLDEN[2::5]]
+        cases.append((dict(depth=20, levels_m=3), np.float64, self.FLOAT64_STATE))
+        with workers(count):
+            for kwargs, dtype, want in cases:
+                h = hashlib.sha256()
+                for name, arr in build(ArchConfig(**kwargs), seed=5, dtype=dtype).state_dict().items():
+                    h.update(name.encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+                assert h.hexdigest() == want, (kwargs, dtype)

@@ -4,14 +4,13 @@ taped gradients against central finite differences at float64."""
 import math
 import time
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, check_gradient, relative_errors, weighted_sum
+from conftest import central_diff, check_gradient, relative_errors, weighted_sum, workers
 from rornet import tensor as T
 from rornet.exceptions import ConfigError, NumericError
 
@@ -502,6 +501,13 @@ class TestHeInit:
         draws = T.he_init((50_000,), fan_in=2, rng=np.random.default_rng(3))
         assert abs(draws.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_draw_is_generator_normal_bit_for_bit(self, dtype):
+        # 150,000 elements span three draw chunks
+        got = T.he_init((3, 50_000), 18, np.random.default_rng(11), dtype)
+        want = np.random.default_rng(11).normal(0.0, math.sqrt(2.0 / 18), size=(3, 50_000)).astype(dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
 
 class TestDeterminism:
     def test_bitwise_identical_forward_and_grads(self, rng):
@@ -516,29 +522,6 @@ class TestDeterminism:
         o1, g1 = run()
         o2, g2 = run()
         assert (o1 == o2).all() and (g1 == g2).all()
-
-
-@contextmanager
-def workers(count):
-    """Run convolutions with ``count`` pool workers, even on a 1-CPU machine.
-
-    The pool started here is shut down on exit. The calling thread runs its
-    own GEMMs on one BLAS thread too, as the pool's workers do, so an inline
-    run and a split run make the same calls.
-    """
-    blas = T._blas_threads_local()
-    if blas is None:
-        pytest.skip("the worker pool needs numpy linked against OpenBLAS")
-    saved = T.worker_count, T._pool
-    T.worker_count, T._pool = (lambda: count), None
-    previous = blas(1)
-    try:
-        yield
-    finally:
-        if T._pool is not None:
-            T._pool.shutdown()
-        T.worker_count, T._pool = saved
-        blas(previous)
 
 
 def conv_and_grads(x, w, pad, g, stride=1):
