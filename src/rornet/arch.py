@@ -323,8 +323,9 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     Emission records each He-initialised weight (:func:`tensor.he_draw`); once
     the graph is emitted, :func:`tensor.run_draws` draws them on the worker pool.
     Deterministic given (config, seed): every parameter draws from its own
-    named stream, so identical names receive identical initial values across
-    different level counts, whichever thread draws them.
+    named stream, opened by the worker that draws it, so identical names
+    receive identical initial values across different level counts,
+    whichever thread draws them.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -340,7 +341,7 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     def he_param(name: str, shape: tuple[int, ...], fan_in: int) -> None:
         # one independent stream per parameter so unrelated config changes
         # (extra shortcuts, different m) never shift the shared initializations
-        draw = T.he_draw(shape, fan_in, np.random.default_rng([seed, zlib.crc32(name.encode())]), dtype)
+        draw = T.he_draw(shape, fan_in, [seed, zlib.crc32(name.encode())], dtype)
         g.add_param(name, draw[0])
         draws.append(draw)
 
@@ -370,12 +371,8 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
                 _project(g, block.shortcut, xs[-1], f"{name}.shortcut", he_param)
             terms = [identity, h] + [_project(g, ls.spec, xs[ls.src_block], lname, he_param)
                                      for lname, ls in levels.get(block.index, [])]
-            shape = g.by_id[h].shape
-            for t in terms:
-                if g.by_id[t].shape != shape:
-                    raise ConfigError(f"shortcut {t!r} shape {g.by_id[t].shape} does not match "
-                                      f"the branch of {name!r} {shape}")
-            add = g.add_node(f"{name}.add", "add", terms, {"block": block.index, "branch": h}, shape)
+            add = g.add_node(f"{name}.add", "add", terms, {"block": block.index, "branch": h},
+                             g.by_id[h].shape)
             xs.append(_relu(g, f"{name}.relu_out", add.id) if order == "post_act" else add.id)
 
     out = xs[-1]

@@ -106,7 +106,7 @@ class Graph:
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install a state dict; name sets must match exactly."""
+        """Install a state dict into the parameters' own buffers; name sets must match exactly."""
         expected = set(self.state_dict())
         got = set(state)
         if expected != got:
@@ -118,7 +118,7 @@ class Graph:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise StateNameError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.tensor.data = arr.copy()
+            p.data[...] = arr
         for name, st in self.bn.items():
             st.running_mean = np.asarray(state[name + ".running_mean"], dtype=st.running_mean.dtype).copy()
             st.running_var = np.asarray(state[name + ".running_var"], dtype=st.running_var.dtype).copy()
@@ -148,14 +148,12 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
     One sweep over the nodes in reverse, from the output, plans the call: the
     nodes that run (a dropped block's branch is never reached), the terms
     each addition sums, and each value's last consumer, which is the first
-    one the sweep meets. Eval mode records no tape, so each activation is
-    freed after its last consumer. A relu or addition writes into the buffer
-    of a value it consumes once and last if no taped vjp reads it
-    (``Tensor._read``). In train mode the tape drops, at its last consumer,
-    each value no vjp reads and each one it can rebuild (``Tensor._rebuild``):
-    its ``data`` becomes a :func:`rornet.tensor.placeholder`. The input,
-    captured values and what an addition passes on are neither written into
-    nor dropped.
+    one the sweep meets. A relu or addition writes into the buffer of a value
+    it consumes once and last if no taped vjp reads it (``Tensor._read``).
+    After its last consumer, each value goes to :meth:`rornet.tensor.Tensor.drop`,
+    which holds the tape's memory rule; eval mode records no tape, so there
+    each activation is simply freed. The input, captured values and what an
+    addition passes on are neither written into nor dropped.
     Each tensor a node creates carries the node's id (``Tensor.node``), which
     makes the training tape single-use: :func:`rornet.tensor.backward` frees
     it as it sweeps, and names the node when a gradient is non-finite.
@@ -220,10 +218,7 @@ def forward(graph: Graph, x, mode: str = "train", gates=None, schedule=None,
             if node.id in capture:
                 captured[node.id] = vals[node.id].data
             for i in last:
-                t = vals.pop(i)
-                if mode == "train" and (not t._read or t._rebuild is not None):
-                    # no vjp reads it, or backward rebuilds it before one does
-                    t.data, t._rebuild = T.placeholder(t.data), t._rebuild if t._read else None
+                vals.pop(i).drop()
     out = vals[graph.output_id]
     return (out, captured) if capture else out
 

@@ -21,11 +21,9 @@ Conventions:
     never propagate silently,
   * a taped op marks the tensors its vjp reads (``Tensor._read``). The
     graph executor lends :func:`relu` and :func:`add_n` (``out=``) the
-    buffers of unmarked inputs, and drops from its training tape what is
-    unmarked or what :func:`backward` can rebuild (a train-mode batch norm
-    output, or a ReLU of one): its ``data`` becomes a :func:`placeholder`,
-    rebuilt just before a vjp that may read it. :func:`backward` frees the
-    tape it builds as it sweeps.
+    buffers of unmarked inputs, and hands each value past its last
+    consumer to :meth:`Tensor.drop`, which holds the tape's memory rule;
+    :func:`backward` rebuilds what it may read and frees the tape as it sweeps.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ __all__ = [
     "run_draws",
     "check_memory",
     "no_tape",
-    "placeholder",
     "worker_count",
 ]
 
@@ -94,12 +91,11 @@ class Tensor:
     caller and can be swept again.
 
     ``_read`` is True once a taped op's vjp reads ``data``: the graph
-    executor neither writes into nor drops such a value without a rebuild.
-    ``_rebuild``, set on a taped output that is cheap to recompute from what
-    the tape keeps anyway (train-mode :func:`batch_norm`, and a :func:`relu`
-    of such a value), returns that output again. When the graph executor
-    drops the value, ``data`` becomes a :func:`placeholder` and
-    :func:`backward` calls ``_rebuild`` before a vjp that may read it.
+    executor does not write into such a value. ``_rebuild``, set on a taped
+    output that is cheap to recompute from what the tape keeps anyway
+    (train-mode :func:`batch_norm`, and a :func:`relu` of such a value),
+    returns that output again. What the two marks let the tape give up is
+    :meth:`drop`'s rule.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "_parents", "_vjp", "_rebuild", "_read",
@@ -129,6 +125,18 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+    def drop(self) -> None:
+        """Release ``data`` once no later forward op reads it. A value with no
+        tape is left as it is, and so is one a vjp reads that cannot be rebuilt.
+        Any other taped value keeps a read-only zero-stride view of a NaN scalar
+        with its shape and dtype, which holds no buffer: a stray read gives NaN,
+        which the finite checks catch (a comparison, such as ReLU's mask, gives
+        False). Its ``_rebuild`` stays only if a vjp reads it, and then
+        :func:`backward` calls it before that vjp."""
+        if self._vjp is not None and (not self._read or self._rebuild is not None):
+            self.data = np.broadcast_to(np.array(np.nan, dtype=self.data.dtype), self.data.shape)
+            self._rebuild = self._rebuild if self._read else None
 
 
 class Parameter:
@@ -193,14 +201,6 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp, rebuild=N
         for p in reads:  # the parents the vjp reads
             p._read = True
     return out
-
-
-def placeholder(arr: np.ndarray) -> np.ndarray:
-    """The ``data`` of a dropped value: a read-only zero-stride view of a NaN
-    scalar with ``arr``'s shape and dtype. It holds no buffer. Arithmetic on
-    a stray read gives NaN, which the finite checks catch where zeros would
-    slip through; a comparison such as ReLU's mask turns NaN into False."""
-    return np.broadcast_to(np.array(np.nan, dtype=arr.dtype), arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +727,9 @@ def backward(loss: Tensor) -> None:
     :class:`NumericError` naming it. A tape made op by op stays whole, and
     repeated calls without clearing grads accumulate.
 
-    ``graph.forward`` leaves a :func:`placeholder` with a ``_rebuild`` only on
-    values a vjp reads (``_read``). The sweep rebuilds one just before the
-    first vjp that may read it, its own or that of a node whose first input
-    it is (every op that reads an input reads its first); node release frees it.
+    A value :meth:`Tensor.drop` released with its ``_rebuild`` is rebuilt
+    just before the first vjp in the sweep that may read it: its own, or
+    that of a node it feeds. Node release frees it.
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -763,8 +762,8 @@ def backward(loss: Tensor) -> None:
             if node.requires_grad:
                 node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
-        for t in (node,) + node._parents[:1]:
-            if t._rebuild is not None and not t.data.flags.writeable:  # a placeholder
+        for t in (node, *node._parents):
+            if t._rebuild is not None and not t.data.flags.writeable:  # dropped
                 t.data, t._rebuild = t._rebuild(), None
         try:
             for parent, pg in zip(node._parents, node._vjp(g)):
@@ -804,9 +803,11 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
     return draw[0]
 
 
-def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype=np.float32) -> tuple:
+def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator | Sequence[int],
+            dtype=np.float32) -> tuple:
     """A :func:`he_init` draw for :func:`run_draws`: its output, made unfilled
-    in the calling thread once the checks pass, its std and its rng."""
+    in the calling thread once the checks pass, its std and its rng, a
+    Generator or a seed for ``np.random.default_rng``."""
     if fan_in <= 0:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
     check_memory(math.prod(shape) * np.dtype(dtype).itemsize, f"the draw of a {shape} parameter")
@@ -815,14 +816,16 @@ def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype
 
 def run_draws(draws: Sequence[tuple]) -> None:
     """Fill each :func:`he_draw` output on the pool workers, dealt round robin so
-    their runs hold about equal element counts. A draw reads only its own rng:
-    no bit depends on the order or the thread. A worker draws chunks into one
-    float64 buffer and casts each into place, so no output lands in its arena."""
+    their runs hold about equal element counts. A draw reads only its own rng,
+    which the worker opens from its seed (``default_rng`` returns a Generator
+    as it is): no bit depends on the order or the thread. A worker draws chunks
+    into one float64 buffer and casts each into place, so no output lands in its arena."""
     n = worker_count()
 
     def run(part) -> None:
         buf = np.empty(_DRAW_CHUNK)
-        for out, std, rng in part:
+        for out, std, seed in part:
+            rng = np.random.default_rng(seed)
             for dst in np.split(out.reshape(-1), range(_DRAW_CHUNK, out.size, _DRAW_CHUNK)):
                 z = rng.standard_normal(out=buf[:dst.size])
                 z *= std

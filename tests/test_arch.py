@@ -5,11 +5,15 @@ arithmetic (conv = cin*cout*k*k, BN affine = 2*channels, fc = feat*classes
 + classes) before the builder existed; they pin the construction exactly.
 """
 
+import dataclasses
 import hashlib
 import json
+import pathlib
 import re
+import tempfile
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,12 +22,15 @@ from hypothesis import strategies as st
 
 from conftest import central_diff, relative_errors, workers
 from rornet import tensor as T
+from rornet.analysis import count_paths
 from rornet.arch import (ArchConfig, ProjectionSpec, build, config_from_text,
                          config_to_text, resolve_config)
+from rornet.data import load_checkpoint, save_checkpoint
 from rornet.exceptions import ConfigError, NumericError
 from rornet.graph import Graph, forward
 from rornet.stochastic_depth import GateVector, SurvivalSchedule, survival_schedule
 from rornet.tensor import Tensor, backward, relu, softmax_cross_entropy
+from test_analysis import dfs_paths
 
 
 def zero_level_params(graph):
@@ -357,34 +364,48 @@ TABLE_1 = {18: ("basic", (2, 2, 2, 2)), 34: ("basic", (3, 4, 6, 3)),
            101: ("bottleneck", (3, 4, 23, 3)), 152: ("bottleneck", (3, 8, 36, 3))}
 
 
-def imagenet_param_counts(depth, levels_m, num_classes=1000):
-    """Closed-form parameter count of a post-activation ImageNet ResNet with
-    type-B shortcuts, by class, written from Table 1 of He et al. alone: a
-    7x7 64-wide stem conv and its BN; per block two 3x3 convs (basic) or
-    1x1-3x3-1x1 (bottleneck), each with a BN; a 1x1 projection wherever a
-    block changes width or stride; the level shortcuts (the root from the
-    stem pool to the last block, one per stage at m=3), 1x1 convs with no BN;
-    then a linear head with bias."""
-    kind, counts = TABLE_1[depth]
-    c = dict(conv=3 * 64 * 7 * 7, bn=2 * 64, proj=0, level=0)
-    c_in = 64
-    for stage, (w, n) in enumerate(zip((64, 128, 256, 512), counts)):
+def param_counts(kind, counts, widths, stem, levels_m, num_classes, order="post_act",
+                 final="B", upper="B"):
+    """Closed-form parameter count by class, written from the stated structure
+    alone: a k x k stem conv of ``stem = (width, k)`` on 3 channels, with its
+    BN post-activation; per block two 3x3 convs (basic) or 1x1-3x3-1x1
+    (bottleneck, 4x output), each with a BN on its output (post-activation)
+    or its input (pre-activation); a 1x1 projection wherever a block changes
+    width or stride (type B; type A has none); the level shortcuts (the root
+    from the stem to the last block, one per stage at m=3), 1x1 convs with
+    no BN (type B; type A has none); a last BN for pre-activation nets; then
+    a linear head with bias."""
+    assert levels_m <= 3, "no deeper levels"
+    s, k = stem
+    c = dict(conv=3 * s * k * k, bn=2 * s if order == "post_act" else 0, proj=0, level=0)
+    c_in = s
+    for stage, (w, n) in enumerate(zip(widths, counts)):
         out = w if kind == "basic" else 4 * w
         if kind == "basic":
-            widths = [(c_in, w, 9), (w, w, 9)] + [(w, w, 9)] * 2 * (n - 1)
+            convs = [(c_in, w, 9), (w, w, 9)] + [(w, w, 9)] * 2 * (n - 1)
         else:
-            widths = [(c_in, w, 1), (w, w, 9), (w, out, 1)] + [(out, w, 1), (w, w, 9), (w, out, 1)] * (n - 1)
-        c["conv"] += sum(a * b * k for a, b, k in widths)
-        c["bn"] += sum(2 * b for _, b, _ in widths)
-        if stage > 0 or c_in != out:
+            convs = [(c_in, w, 1), (w, w, 9), (w, out, 1)] + [(out, w, 1), (w, w, 9), (w, out, 1)] * (n - 1)
+        c["conv"] += sum(a * b * taps for a, b, taps in convs)
+        c["bn"] += sum(2 * (b if order == "post_act" else a) for a, b, _ in convs)
+        if final == "B" and (stage > 0 or c_in != out):
             c["proj"] += c_in * out
-        if levels_m >= 3:
+        if levels_m >= 3 and upper == "B":
             c["level"] += c_in * out
         c_in = out
-    if levels_m >= 2:
-        c["level"] += 64 * c_in
+    if levels_m >= 2 and upper == "B":
+        c["level"] += s * c_in
+    if order == "pre_act":
+        c["bn"] += 2 * c_in
     c["head"] = c_in * num_classes + num_classes
     return c
+
+
+def imagenet_param_counts(depth, levels_m, num_classes=1000):
+    """:func:`param_counts` of a post-activation ImageNet ResNet with type-B
+    shortcuts, from Table 1 of He et al.: a 7x7 64-wide stem conv, stages
+    of base widths 64/128/256/512, the level shortcuts from the stem pool."""
+    kind, counts = TABLE_1[depth]
+    return param_counts(kind, counts, (64, 128, 256, 512), (64, 7), levels_m, num_classes)
 
 
 class TestImageNetParameterCounts:
@@ -723,6 +744,59 @@ class TestBufferDonation:
                 arr = arr.base
             roots.append(id(arr))
         assert len(set(roots)) == len(roots)  # the reference lent no buffer
+
+
+RANDOM_CONFIGS = st.builds(  # the configs TestBufferDonation draws, without its gates
+    ArchConfig, blocks_per_group=st.tuples(*[st.integers(1, 2)] * 3), levels_m=st.integers(1, 3),
+    block_order=st.sampled_from(["post_act", "pre_act"]), final_shortcut=st.sampled_from(["A", "B"]),
+    upper_shortcut=st.sampled_from(["A", "B"]))
+
+
+class TestRandomConfigs:
+    """Structural oracles on random small nets of every block order and shortcut type."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=RANDOM_CONFIGS)
+    def test_parameter_total_is_the_closed_form(self, cfg):
+        counts = param_counts("basic", cfg.blocks_per_group, (16, 32, 64), (16, 3), cfg.levels_m, 10,
+                              cfg.block_order, cfg.final_shortcut, cfg.upper_shortcut)
+        assert build(cfg).num_params() == sum(counts.values())
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=RANDOM_CONFIGS)
+    def test_path_count_is_the_brute_force_count(self, cfg):
+        g = build(cfg)
+        paths = dfs_paths(g)
+        stats = count_paths(g)
+        assert stats.count == len(paths)
+        assert stats.length_histogram == dict(Counter(paths))
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=RANDOM_CONFIGS)
+    def test_zeroed_level_projections_give_the_plain_net(self, cfg):
+        cfg = dataclasses.replace(cfg, upper_shortcut="B")
+        g = build(cfg, seed=4, dtype=np.float64)
+        plain = build(dataclasses.replace(cfg, levels_m=1), seed=4, dtype=np.float64)
+        zero_level_params(g)
+        x = np.random.default_rng(sum(cfg.blocks_per_group)).normal(size=(2, 3, 32, 32))
+        for mode in ("train", "eval"):  # train mode moves the running statistics eval reads
+            assert np.array_equal(forward(g, x, mode=mode).data, forward(plain, x, mode=mode).data), mode
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=RANDOM_CONFIGS)
+    def test_checkpoint_round_trip_is_bitwise(self, cfg):
+        g = build(cfg, seed=4)
+        forward(g, np.random.default_rng(1).normal(size=(2, 3, 32, 32)), mode="train")  # moves the statistics
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "model.ckpt"
+            save_checkpoint(path, g.state_dict(), config_to_text(cfg))
+            state, text = load_checkpoint(path)
+        restored = build(config_from_text(text), seed=5)
+        restored.load_state(state)
+        want, got = g.state_dict(), restored.state_dict()
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
 
 
 def plain_loss(g, x, labels, gates, relu_signs=None):

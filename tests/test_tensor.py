@@ -666,3 +666,62 @@ class TestReadMarks:
         other = T.Tensor(rng.normal(size=(2, 3, 4, 4)))
         T.conv2d(other, frozen, padding=1)  # nothing requires grad: no tape
         assert not other._read
+
+
+def _times(a, b):
+    """Elementwise product whose vjp reads both inputs, ``b`` as the second parent."""
+    return T._make(a.data * b.data, "times", (a, b), lambda g: (g * b.data, g * a.data), reads=(a, b))
+
+
+def _bn_relu_into(consumer, w_shape, drop):
+    """Leaf gradients of a functional of ``consumer(y, w)``, y a ReLU of a
+    train-mode batch norm (so it can be rebuilt), dropped after ``consumer`` if ``drop``."""
+    r = np.random.default_rng(0)
+    x = T.Tensor(r.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    state = T.BatchNormState("bn", 3, dtype=np.float64)
+    y = T.relu(T.batch_norm(x, state))
+    w = T.Tensor(r.normal(size=w_shape), requires_grad=True)
+    z = consumer(y, w)
+    if drop:
+        y.drop()
+        assert np.isnan(y.data).all() and y._rebuild is not None
+    T.backward(weighted_sum(z, r.normal(size=z.shape)))
+    return [t.grad for t in (x, w, state.gamma.tensor, state.beta.tensor)]
+
+
+class TestDrop:
+    def test_a_value_with_no_tape_is_untouched(self, rng):
+        leaf = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with T.no_tape():
+            untaped = T.relu(leaf)
+        for t in (T.Tensor(rng.normal(size=(2, 3))), leaf, untaped):
+            data = t.data
+            t.drop()
+            assert t.data is data
+
+    def test_a_value_no_vjp_reads_keeps_no_buffer_and_no_rebuild(self, rng):
+        x = T.Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        y = T.batch_norm(x, T.BatchNormState("bn", 3, dtype=np.float64))
+        T.add_n([y, x])  # its vjp reads neither term
+        assert not y._read and y._rebuild is not None
+        y.drop()
+        assert y.data.shape == (2, 3, 4, 4) and y.data.dtype == np.float64
+        assert y.data.strides == (0, 0, 0, 0) and not y.data.flags.writeable
+        assert np.isnan(y.data).all()
+        assert y._rebuild is None
+
+    @pytest.mark.parametrize("consumer, w_shape", [(T.conv2d, (3, 3, 3, 3)),
+                                                   (lambda y, w: _times(w, y), (2, 3, 4, 4))],
+                             ids=["first-parent", "second-parent"])
+    def test_a_read_value_that_can_be_rebuilt_gives_the_same_gradients(self, consumer, w_shape):
+        kept, dropped = (_bn_relu_into(consumer, w_shape, drop) for drop in (False, True))
+        for a, b in zip(kept, dropped):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_read_value_that_cannot_be_rebuilt_keeps_its_buffer(self, rng):
+        x = T.Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        y = T.conv2d(x, T.Tensor(rng.normal(size=(3, 3, 3, 3)), requires_grad=True), padding=1)
+        T.batch_norm(y, T.BatchNormState("bn", 3, dtype=np.float64))  # its vjp reads y
+        data = y.data
+        y.drop()
+        assert y.data is data and y._read and y._rebuild is None
