@@ -323,9 +323,10 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     Emission records each He-initialised weight (:func:`tensor.he_draw`); once
     the graph is emitted, :func:`tensor.run_draws` draws them on the worker pool.
     Deterministic given (config, seed): every parameter draws from its own
-    named stream, opened by the worker that draws it, so identical names
-    receive identical initial values across different level counts,
-    whichever thread draws them.
+    named stream, opened here as it is recorded, so identical names receive
+    identical initial values across different level counts, whichever thread
+    draws them. A model whose weights together exceed this machine's memory
+    raises :class:`ConfigError` before any is drawn.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -336,12 +337,15 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
               meta={"dtype": dtype, "num_blocks": plan.num_blocks, "plan": plan})
     g.add_node("input", "input", [], {}, plan.input_shape)
     g.input_id = "input"
-    draws = []
+    draws, nbytes = [], 0
 
     def he_param(name: str, shape: tuple[int, ...], fan_in: int) -> None:
         # one independent stream per parameter so unrelated config changes
         # (extra shortcuts, different m) never shift the shared initializations
-        draw = T.he_draw(shape, fan_in, [seed, zlib.crc32(name.encode())], dtype)
+        nonlocal nbytes
+        nbytes += math.prod(shape) * np.dtype(dtype).itemsize
+        T.check_memory(nbytes, f"the model's weights through {name}")
+        draw = T.he_draw(shape, fan_in, np.random.default_rng([seed, zlib.crc32(name.encode())]), dtype)
         g.add_param(name, draw[0])
         draws.append(draw)
 

@@ -106,22 +106,19 @@ class Graph:
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install a state dict into the parameters' own buffers; name sets must match exactly."""
-        expected = set(self.state_dict())
-        got = set(state)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        """Install a state dict into the live buffers of the parameters and BN
+        running statistics; names and shapes must match exactly."""
+        live = self.state_dict()
+        if set(live) != set(state):
+            missing = sorted(set(live) - set(state))
+            extra = sorted(set(state) - set(live))
             raise StateNameError(
                 f"state name mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}")
-        for name, p in self.params.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise StateNameError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data[...] = arr
-        for name, st in self.bn.items():
-            st.running_mean = np.asarray(state[name + ".running_mean"], dtype=st.running_mean.dtype).copy()
-            st.running_var = np.asarray(state[name + ".running_var"], dtype=st.running_var.dtype).copy()
+        for name, dst in live.items():
+            arr = np.asarray(state[name], dtype=dst.dtype)
+            if arr.shape != dst.shape:
+                raise StateNameError(f"shape mismatch for {name}: {arr.shape} vs {dst.shape}")
+            dst[...] = arr
 
     def to_jsonl(self) -> str:
         """One JSON object per node, in topological order."""

@@ -9,11 +9,12 @@ inside :func:`no_tape` they record nothing.
 Conventions:
   * image layout is N x C x H x W at every op boundary; a convolution of
     any stride works on the zero-padded input's stride phases in NHWC rows
-    inside the op (one GEMM per kernel tap, see :func:`conv2d`) split across
-    :func:`worker_count` threads of one BLAS thread each (once the pool starts, a pthreads
-    OpenBLAS holds every GEMM to one thread, inline ones too); its results do not depend on the thread count,
-  * a model build draws its He-initial weights on the same pool (:func:`run_draws`),
-    each from its own generator, so no bit depends on the thread that draws it,
+    inside the op (one GEMM per kernel tap, see :func:`conv2d`),
+  * one pool of :func:`worker_count` threads, one BLAS thread each, splits
+    what it speeds up: a convolution's forward and grad-x row blocks, and a
+    build's He draws (:func:`run_draws`); grad-w runs on the calling thread.
+    Once it starts, a pthreads OpenBLAS holds every GEMM to one thread, inline
+    ones too. No result depends on the thread count,
   * convolutions use cross-correlation semantics and carry no bias,
   * default precision is float32; gradient checking runs at float64,
   * every op validates that its output is finite, and :func:`backward`
@@ -293,10 +294,11 @@ def _blas_threads_local():
 
 @lru_cache(maxsize=None)
 def worker_count() -> int:
-    """Threads a convolution of any stride splits its GEMMs across: the BLAS thread
-    setting (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``) up to the usable
-    CPUs, else those CPUs; 1 without OpenBLAS. Each worker runs one BLAS thread; once the pool
-    starts, a pthreads OpenBLAS runs every GEMM in the process on one BLAS thread, inline ones too."""
+    """Threads the pool splits a convolution's forward and grad-x row blocks and a
+    build's weight draws across: the BLAS thread setting (``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``) up to the usable CPUs, else those CPUs; 1 without
+    OpenBLAS. Each worker runs one BLAS thread; once the pool starts, a pthreads
+    OpenBLAS runs every GEMM in the process on one BLAS thread, inline ones too."""
     cpus = len(os.sched_getaffinity(0))
     setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
     wanted = int(setting) if setting.isdigit() else 0  # 0 or unset means every CPU, as in OpenBLAS
@@ -305,9 +307,9 @@ def worker_count() -> int:
 
 def _parallel(fn: Callable, items: Sequence, span: int) -> None:
     """Run ``fn`` over contiguous runs of ``items``, one per pool worker, when each
-    worker gets at least ``_TAP_BLOCK`` of the ``span`` units of work (GEMM rows,
-    or weights drawn), else ``fn(items)`` inline. Waits for every run before
-    re-raising the first failure: no worker outlives it."""
+    worker gets at least ``_TAP_BLOCK`` of the ``span`` units of work (GEMM rows
+    for :func:`_tap_gemm`, weights for :func:`run_draws`), else ``fn(items)`` inline.
+    Waits for every run before re-raising the first failure: no worker outlives it."""
     global _pool
     n = min(len(items), worker_count()) if span // _TAP_BLOCK >= worker_count() else 1
     if n == 1:
@@ -421,12 +423,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             xc = _phase_flat(x.data, stride, padding, (ph, pw), (hq, wq), dtype, channel_major=True)
             gf = gbig[lead:lead + span]
             gw = np.empty((th * tw, cq, cout), dtype=dtype)
-
-            def run(ks: range) -> None:
-                for k in ks:
-                    np.matmul(xc[:, offsets[k]:offsets[k] + span], gf, out=gw[k])
-
-            _parallel(run, range(th * tw), span)
+            for k, off in enumerate(offsets):  # on the calling thread: splitting these gains nothing
+                np.matmul(xc[:, off:off + span], gf, out=gw[k])
             gw = gw.reshape(th, tw, ph, pw, cin, cout).transpose(5, 4, 0, 2, 1, 3)
             gw = np.ascontiguousarray(gw.reshape(cout, cin, th * ph, tw * pw)[:, :, :kh, :kw])
             del xc
@@ -803,11 +801,9 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
     return draw[0]
 
 
-def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator | Sequence[int],
-            dtype=np.float32) -> tuple:
+def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype=np.float32) -> tuple:
     """A :func:`he_init` draw for :func:`run_draws`: its output, made unfilled
-    in the calling thread once the checks pass, its std and its rng, a
-    Generator or a seed for ``np.random.default_rng``."""
+    in the calling thread once the checks pass, its std and its Generator."""
     if fan_in <= 0:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
     check_memory(math.prod(shape) * np.dtype(dtype).itemsize, f"the draw of a {shape} parameter")
@@ -816,16 +812,14 @@ def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator | Sequ
 
 def run_draws(draws: Sequence[tuple]) -> None:
     """Fill each :func:`he_draw` output on the pool workers, dealt round robin so
-    their runs hold about equal element counts. A draw reads only its own rng,
-    which the worker opens from its seed (``default_rng`` returns a Generator
-    as it is): no bit depends on the order or the thread. A worker draws chunks
+    their runs hold about equal element counts. A draw reads only its own
+    Generator, so no bit depends on the order or the thread. A worker draws chunks
     into one float64 buffer and casts each into place, so no output lands in its arena."""
     n = worker_count()
 
     def run(part) -> None:
         buf = np.empty(_DRAW_CHUNK)
-        for out, std, seed in part:
-            rng = np.random.default_rng(seed)
+        for out, std, rng in part:
             for dst in np.split(out.reshape(-1), range(_DRAW_CHUNK, out.size, _DRAW_CHUNK)):
                 z = rng.standard_normal(out=buf[:dst.size])
                 z *= std

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -87,6 +88,14 @@ def check_gradient(op_fn, arrays, h: float = 1e-5, samples: int = 6,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def four_mib_machine(monkeypatch):
+    """Report 4 MiB of physical memory to :func:`rornet.tensor.check_memory`."""
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda key: (4 << 20) // sysconf("SC_PAGE_SIZE")
+                        if key == "SC_PHYS_PAGES" else sysconf(key))
 
 
 @contextmanager

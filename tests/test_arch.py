@@ -11,6 +11,7 @@ import json
 import pathlib
 import re
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -356,6 +357,26 @@ class TestBuild:
             st.running_var = val.var(axis=(0, 2, 3))
         y_eval = forward(g, x, mode="eval").data
         np.testing.assert_allclose(y_eval, y_train.data, atol=1e-10)
+
+    def test_weights_together_past_physical_memory_refused(self, four_mib_machine):
+        # RoR-3-110's weights take 6.9 MB together, its largest only 147 KB
+        build(ArchConfig(depth=20, levels_m=3))  # 1.1 MB fits
+        with pytest.raises(ConfigError, match="the model's weights"):
+            build(ArchConfig(depth=110, levels_m=3))
+
+    def test_named_streams_open_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        default_rng = np.random.default_rng
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        with workers(2):
+            build(ArchConfig(depth=20, levels_m=3))
+            assert T._pool is not None  # the draws were split
+        assert threads and set(threads) == {threading.get_ident()}
 
 
 # He et al., arXiv 1512.03385, Table 1: block kind and blocks per stage

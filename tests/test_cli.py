@@ -82,6 +82,11 @@ class TestBuildCommand:
         assert manifest["train"]["max_epochs"] == 2
         assert manifest["seed"] == 9
 
+    def test_weights_past_physical_memory_exit_2(self, capsys, four_mib_machine):
+        code, _, err = run_cli(capsys, "build", "--depth", "110", "--levels", "3")
+        assert code == 2
+        assert "the model's weights" in err
+
     @pytest.mark.parametrize("text, line", [
         ("batch_size=16\ndepth=abc\n", 2),          # arch value, after a training key
         ("depth=20\n# augmentation\npad_crop=yes\n", 3),  # boolean training key
@@ -643,7 +648,7 @@ def _fuzz_run_file(data, run, command):
         window = data.draw(st.sampled_from([[], ["--window=0"], ["--window=-2"], ["--window=3"]]))
     else:
         window = []
-        how = data.draw(st.sampled_from(["manifest", "truncate", "flip", "config text"]))
+        how = data.draw(st.sampled_from(["manifest", "truncate", "flip", "config text", "shape"]))
         path = run / "checkpoint.bin"
         if how == "manifest":
             manifest = json.loads((run / "manifest.json").read_text())
@@ -654,13 +659,19 @@ def _fuzz_run_file(data, run, command):
             else:
                 manifest[block][key] = value
             (run / "manifest.json").write_text(json.dumps(manifest))
-        elif how == "config text":
+        elif how in ("config text", "shape"):
             from rornet.data import load_checkpoint, save_checkpoint
             state, text = load_checkpoint(path)
-            lines = text.splitlines()
-            lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.sampled_from(
-                _CONFIG_LINES + ["num_classes=5", "levels_m=2", "width_k=2", "sd_p_l=2"]))
-            save_checkpoint(path, state, "\n".join(lines) + "\n")
+            if how == "shape":  # one tensor rewritten with another shape
+                name = data.draw(st.sampled_from(sorted(state)))
+                state[name] = np.resize(state[name], data.draw(st.sampled_from(
+                    [(0,), (1,), (7,), state[name].shape + (1,)])))
+            else:
+                lines = text.splitlines()
+                lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.sampled_from(
+                    _CONFIG_LINES + ["num_classes=5", "levels_m=2", "width_k=2", "sd_p_l=2"]))
+                text = "\n".join(lines) + "\n"
+            save_checkpoint(path, state, text)
     if how in ("truncate", "flip"):
         raw = bytearray(path.read_bytes())
         at = data.draw(st.integers(0, len(raw) - 1))

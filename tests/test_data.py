@@ -334,6 +334,18 @@ class TestCheckpoint:
         with pytest.raises(StateNameError, match="group1.block003"):
             g20.load_state(state)
 
+    def test_running_statistic_of_another_shape_rejected(self, tmp_path):
+        # a one-entry statistic would broadcast over every channel
+        from rornet.arch import ArchConfig, build
+        g = build(ArchConfig(depth=14, levels_m=1))
+        state = g.state_dict()
+        state["stem.bn.running_var"] = np.full(1, 4.0, dtype=np.float32)
+        path = tmp_path / "s.bin"
+        save_checkpoint(path, state)
+        state, _ = load_checkpoint(path)
+        with pytest.raises(StateNameError, match=r"shape mismatch for stem.bn.running_var: \(1,\)"):
+            g.load_state(state)
+
     def test_model_state_round_trip(self, tmp_path, rng):
         from rornet.arch import ArchConfig, build
         from rornet.graph import forward
