@@ -32,7 +32,6 @@ _EXPORTS = {
     "load_checkpoint": "data",
     "TrainConfig": "train",
     "MetricsLog": "train",
-    "train": "train",
     "evaluate": "train",
     "lr_at": "train",
     "sgd_step": "train",

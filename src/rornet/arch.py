@@ -87,10 +87,6 @@ class ProjectionSpec:
             raise ConfigError(
                 f"type A projection cannot reduce channels ({self.in_channels} -> {self.out_channels})")
 
-    @property
-    def param_count(self) -> int:
-        return self.in_channels * self.out_channels if self.kind == "B" else 0
-
 
 @dataclass(frozen=True)
 class GroupPlan:
@@ -320,13 +316,14 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
     input width and spatial size from its source node: the graph under
     construction is the one record of every shape.
 
-    Emission records each He-initialised weight (:func:`tensor.he_draw`); once
-    the graph is emitted, :func:`tensor.run_draws` draws them on the worker pool.
-    Deterministic given (config, seed): every parameter draws from its own
-    named stream, opened here as it is recorded, so identical names receive
-    identical initial values across different level counts, whichever thread
-    draws them. A model whose weights together exceed this machine's memory
-    raises :class:`ConfigError` before any is drawn.
+    Emission records each He-initialised weight as a draw: the unfilled parameter
+    array, sqrt(2/fan_in) and a Generator; once the graph is emitted,
+    :func:`tensor.run_draws` fills them on the worker pool. Deterministic given
+    (config, seed): every parameter draws from its own named stream, opened here
+    as it is recorded, so identical names receive identical initial values across
+    different level counts, whichever thread draws them. A model whose weights
+    together exceed this machine's memory raises :class:`ConfigError` before any
+    is drawn.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -345,9 +342,8 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> Graph:
         nonlocal nbytes
         nbytes += math.prod(shape) * np.dtype(dtype).itemsize
         T.check_memory(nbytes, f"the model's weights through {name}")
-        draw = T.he_draw(shape, fan_in, np.random.default_rng([seed, zlib.crc32(name.encode())]), dtype)
-        g.add_param(name, draw[0])
-        draws.append(draw)
+        draws.append((g.add_param(name, np.empty(shape, dtype)).data, math.sqrt(2.0 / fan_in),
+                      np.random.default_rng([seed, zlib.crc32(name.encode())])))
 
     k, stride, pad = (3, 1, 1) if plan.family == "cifar" else (7, 2, 3)
     out = _conv(g, "stem.conv", "input", plan.stem_width, k, stride, pad, he_param)

@@ -17,7 +17,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from . import __version__
-from .exceptions import CheckpointError, ConfigError, DataError, NumericError
+from .exceptions import ConfigError, DataError, NumericError
 
 
 # rornet train's defaults where TrainConfig's (the paper's schedule) differ; hflip follows pad_crop
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
-    except (DataError, CheckpointError, FileNotFoundError, OSError) as e:
+    except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
 

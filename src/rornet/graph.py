@@ -107,17 +107,19 @@ class Graph:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Install a state dict into the live buffers of the parameters and BN
-        running statistics; names and shapes must match exactly."""
+        running statistics; names and shapes must match exactly. Every array is
+        checked before any is written, so a rejected state changes nothing."""
         live = self.state_dict()
         if set(live) != set(state):
             missing = sorted(set(live) - set(state))
             extra = sorted(set(state) - set(live))
             raise StateNameError(
                 f"state name mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}")
-        for name, dst in live.items():
-            arr = np.asarray(state[name], dtype=dst.dtype)
+        pairs = [(name, dst, np.asarray(state[name], dtype=dst.dtype)) for name, dst in live.items()]
+        for name, dst, arr in pairs:
             if arr.shape != dst.shape:
                 raise StateNameError(f"shape mismatch for {name}: {arr.shape} vs {dst.shape}")
+        for _, dst, arr in pairs:
             dst[...] = arr
 
     def to_jsonl(self) -> str:

@@ -2,9 +2,10 @@
 
 Every network primitive lives here: convolution, batch normalization, ReLU,
 n-ary addition, pooling, the affine classifier head and the classification
-loss. Ops compute eagerly with numpy and record a tape node on the output
-so :func:`backward` can sweep the graph in reverse topological order;
-inside :func:`no_tape` they record nothing.
+loss. Ops take :class:`Tensor` operands (labels and settings are plain
+values), compute eagerly with numpy and record a tape node on the output so
+:func:`backward` can sweep the graph in reverse topological order; inside
+:func:`no_tape` they record nothing.
 
 Conventions:
   * image layout is N x C x H x W at every op boundary; a convolution of
@@ -59,7 +60,6 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "he_init",
-    "he_draw",
     "run_draws",
     "check_memory",
     "no_tape",
@@ -120,10 +120,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -163,28 +159,22 @@ class Parameter:
 
 
 class BatchNormState:
-    """Per-channel affine parameters and running statistics for one BN node."""
+    """Per-channel affine parameters and running statistics for one BN node;
+    each train-mode batch moves them ``momentum`` of the way to its own."""
 
-    __slots__ = ("gamma", "beta", "running_mean", "running_var", "momentum", "epsilon")
+    __slots__ = ("gamma", "beta", "running_mean", "running_var", "epsilon")
+    momentum = 0.1
 
-    def __init__(self, name: str, channels: int, dtype=np.float32,
-                 momentum: float = 0.1, epsilon: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"batch norm momentum must lie in (0, 1), got {momentum}")
+    def __init__(self, name: str, channels: int, dtype=np.float32, epsilon: float = 1e-5):
         self.gamma = Parameter(name + ".gamma", np.ones(channels, dtype=dtype))
         self.beta = Parameter(name + ".beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
         self.epsilon = epsilon
 
     @property
     def channels(self) -> int:
         return self.gamma.data.shape[0]
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -370,7 +360,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     shifted the other way, with transposed tap weights, then un-shuffled
     back to the input grid (:func:`_unphase`).
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ConfigError("conv2d expects 4-d input and weight")
     n, cin, h, w = x.shape
@@ -451,7 +440,6 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str = "train") -> Tensor:
     rebuilt too (``Tensor._rebuild``), by the same arithmetic from ``x`` and
     the forward-time scale and shift, unless ``x`` can itself be dropped.
     """
-    x = _as_tensor(x)
     if mode not in ("train", "eval"):
         raise ConfigError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if x.data.ndim != 4:
@@ -520,7 +508,6 @@ def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     masks by the output, so ``out`` may be the buffer of ``x``; it reads the
     result through a weak reference, so it sees a rebuilt value and makes no
     reference cycle. When ``x`` can be rebuilt, so can the result."""
-    x = _as_tensor(x)
     src = x._rebuild
 
     def vjp(g: np.ndarray):
@@ -539,7 +526,7 @@ def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
 def add_n(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
     """Sum two or more same-shape tensors as ((t0 + t1) + t2) + ...; gradients
     pass through unchanged. ``out`` may be t0's or t1's buffer, no later term's."""
-    tensors = [_as_tensor(t) for t in inputs]
+    tensors = list(inputs)
     if len(tensors) < 2:
         raise ConfigError("add_n needs at least two inputs")
     shape = tensors[0].shape
@@ -560,7 +547,6 @@ def add_n(inputs: Sequence[Tensor], out: Optional[np.ndarray] = None) -> Tensor:
 
 def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (used for survival-probability scaling)."""
-    x = _as_tensor(x)
     out = x.data * factor
 
     def vjp(g: np.ndarray):
@@ -571,7 +557,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     """Sum all elements to a scalar; the gradient broadcasts back as ones."""
-    x = _as_tensor(x)
     out = np.asarray(x.data.sum())
 
     def vjp(g: np.ndarray):
@@ -582,7 +567,6 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean per channel: (N,C,H,W) -> (N,C)."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ConfigError("global_avg_pool expects N,C,H,W input")
     n, c, h, w = x.shape
@@ -599,7 +583,6 @@ def max_pool2d(x: Tensor, kernel: int = 3, stride: int = 2, padding: int = 1) ->
     """Max pooling over square windows: the max over the kernel*kernel
     strided views of the padded input. The gradient routes to the window
     argmax, the first maximum in window order on ties."""
-    x = _as_tensor(x)
     n, c, h, w = x.shape
     oh = _out_extent(h, kernel, stride, padding)
     ow = _out_extent(w, kernel, stride, padding)
@@ -632,7 +615,6 @@ def subsample_pad(x: Tensor, stride: int, out_channels: int) -> Tensor:
     Keeps rows/columns at indices {0, stride, 2*stride, ...} and appends
     zero-filled channels up to ``out_channels``.
     """
-    x = _as_tensor(x)
     n, c, h, w = x.shape
     if out_channels < c:
         raise ConfigError(f"zero-padding projection cannot shrink channels ({c} -> {out_channels})")
@@ -650,7 +632,6 @@ def subsample_pad(x: Tensor, stride: int, out_channels: int) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map (N,D) @ (K,D)^T + (K,)."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ConfigError("linear expects 2-d input and weight")
     n, d = x.shape
@@ -675,7 +656,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     Stabilized by max subtraction; the backward pass is (softmax - onehot)/N.
     """
-    logits = _as_tensor(logits)
     labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ConfigError("softmax_cross_entropy expects (N, K) logits")
@@ -796,22 +776,17 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
             dtype=np.float32) -> np.ndarray:
     """Zero-mean normal draw with variance 2/fan_in, deterministic per rng state:
     the bits of ``rng.normal(0.0, sqrt(2/fan_in), shape).astype(dtype)``."""
-    draw = he_draw(shape, fan_in, rng, dtype)
-    run_draws([draw])
-    return draw[0]
-
-
-def he_draw(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype=np.float32) -> tuple:
-    """A :func:`he_init` draw for :func:`run_draws`: its output, made unfilled
-    in the calling thread once the checks pass, its std and its Generator."""
     if fan_in <= 0:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
     check_memory(math.prod(shape) * np.dtype(dtype).itemsize, f"the draw of a {shape} parameter")
-    return np.empty(shape, dtype=dtype), math.sqrt(2.0 / fan_in), rng
+    out = np.empty(shape, dtype=dtype)
+    run_draws([(out, math.sqrt(2.0 / fan_in), rng)])
+    return out
 
 
 def run_draws(draws: Sequence[tuple]) -> None:
-    """Fill each :func:`he_draw` output on the pool workers, dealt round robin so
+    """Fill each ``(out, std, Generator)`` draw with ``std`` times standard
+    normals, as :func:`he_init` does, on the pool workers, dealt round robin so
     their runs hold about equal element counts. A draw reads only its own
     Generator, so no bit depends on the order or the thread. A worker draws chunks
     into one float64 buffer and casts each into place, so no output lands in its arena."""

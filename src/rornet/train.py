@@ -202,12 +202,6 @@ def standardize(ds: Dataset, stats: dict) -> Dataset:
     return replace(ds, images=((ds.images - mean) / std).astype(np.float32))
 
 
-def top1_error(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 error percentage."""
-    pred = logits.argmax(axis=1)
-    return 100.0 * float((pred != labels).mean())
-
-
 def evaluate(graph: Graph, dataset: Dataset, batch_size: int = 256,
              schedule: Optional[SurvivalSchedule] = None) -> float:
     """Top-1 error in eval mode (running BN statistics, no stochastic state)."""

@@ -136,12 +136,6 @@ class TestResolveConfig:
 
 
 class TestProjections:
-    def test_type_a_parameter_free(self):
-        assert ProjectionSpec("A", 16, 32, 2).param_count == 0
-
-    def test_type_b_parameter_count(self):
-        assert ProjectionSpec("B", 16, 32, 2).param_count == 512
-
     def test_type_a_cannot_shrink(self):
         with pytest.raises(ConfigError):
             ProjectionSpec("A", 32, 16, 2)

@@ -1,7 +1,8 @@
 """The names the benchmark patches and reads must exist in the library.
 
 ``perfbench/tracer.py`` swaps library functions for timing wrappers by name,
-and ``perfbench/workload.py`` reads ``graph.meta["num_blocks"]`` and calls
+and ``perfbench/workload.py`` reads ``graph.meta["num_blocks"]``, passes
+keywords to the library's builder, trainer and evaluator, and calls
 ``rornet analyze`` with the flags its ``arch_flags`` builds. Renaming or
 deleting any of these breaks a benchmark run, which the rest of the suite
 would not notice. The tracer is read as text here; the workload table and
@@ -21,8 +22,11 @@ import pytest
 
 from rornet.arch import ArchConfig, build
 from rornet.cli import _arch_config, _build_parser, main
+from rornet.data import synthetic_dataset
 from rornet.graph import forward
-from rornet.tensor import softmax_cross_entropy
+from rornet.stochastic_depth import sample_gates, survival_schedule
+from rornet.tensor import backward, softmax_cross_entropy
+from rornet.train import TrainConfig, evaluate, train
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -58,6 +62,24 @@ def test_every_name_the_benchmark_uses_exists():
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
     assert build(ArchConfig(blocks_per_group=(1, 2), levels_m=3)).meta["num_blocks"] == 3
+
+
+def test_every_attribute_and_keyword_the_benchmark_uses_exists():
+    # tracer.py's gate ratio, and the keywords and attributes workload.py
+    # passes to build, TrainConfig, train, evaluate and forward and reads back
+    g = build(ArchConfig(blocks_per_group=(1, 1, 1), levels_m=3), seed=5, dtype=np.float64)
+    schedule = survival_schedule(g.meta["num_blocks"], 0.5)
+    gates = sample_gates(schedule, 0)
+    assert 0 <= gates.active <= 3 and schedule.expected_active == pytest.approx(2.0)
+    ds = synthetic_dataset(seed=0, classes=4, n=4)
+    cfg = TrainConfig(base_lr=0.05, milestones=(), max_epochs=1, batch_size=4, sd_p_l=0.5, seed=6)
+    rows = train(g, ds, ds, cfg).rows
+    assert len(rows) == 1 and np.isfinite(rows[0].train_loss)
+    assert 0.0 <= evaluate(g, ds, batch_size=2, schedule=schedule) <= 100.0
+    logits = forward(g, ds.images.astype(np.float64), mode="train", gates=gates)
+    backward(softmax_cross_entropy(logits, ds.labels))
+    grad = g.params["stem.conv.weight"].tensor.grad
+    assert grad.dtype == np.float64 and grad.shape == g.params["stem.conv.weight"].data.shape
 
 
 def test_every_tensor_on_a_training_tape_keeps_an_array():

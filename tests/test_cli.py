@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import importlib
 import json
 import os
 import shutil
@@ -18,6 +19,17 @@ import rornet
 from rornet import tensor as T
 from rornet.arch import _CONFIG_KEYS, ArchConfig
 from rornet.cli import _arch_config, _build_parser, main
+
+
+def test_every_package_export_is_the_object_its_submodule_defines():
+    # the package resolves its names lazily, so --threads can act before numpy
+    # loads; a name its submodule lost, or that a submodule shadows, shows here
+    names = [name for name in rornet.__all__ if name != "__version__"]
+    assert len(names) > 20
+    for name in names:
+        obj = getattr(rornet, name)
+        module = getattr(obj, "__module__", "")
+        assert module.startswith("rornet.") and getattr(importlib.import_module(module), name) is obj, name
 
 
 def run_cli(capsys, *argv):

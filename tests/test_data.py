@@ -346,6 +346,21 @@ class TestCheckpoint:
         with pytest.raises(StateNameError, match=r"shape mismatch for stem.bn.running_var: \(1,\)"):
             g.load_state(state)
 
+    def test_rejected_state_installs_nothing(self):
+        # the bad array comes last, so a load that wrote each array as it
+        # checked it would have overwritten every weight before raising
+        from rornet.arch import ArchConfig, build
+        g = build(ArchConfig(depth=14))
+        before = {name: arr.copy() for name, arr in g.state_dict().items()}
+        state = build(ArchConfig(depth=14), seed=1).state_dict()
+        assert list(state)[-1] == "stem.bn.running_var"
+        assert state["group1.block001.conv1.weight"].tobytes() != before["group1.block001.conv1.weight"].tobytes()
+        state["stem.bn.running_var"] = state["stem.bn.running_var"][:3]
+        with pytest.raises(StateNameError, match="stem.bn.running_var"):
+            g.load_state(state)
+        live = g.state_dict()
+        assert [name for name in before if live[name].tobytes() != before[name].tobytes()] == []
+
     def test_model_state_round_trip(self, tmp_path, rng):
         from rornet.arch import ArchConfig, build
         from rornet.graph import forward

@@ -17,8 +17,7 @@ from rornet.data import load_checkpoint, synthetic_dataset
 from rornet.exceptions import ConfigError, NumericError
 from rornet.train import (CIFAR_MILESTONES, SVHN_MILESTONES, MetricsLog,
                           MetricsRow, TrainConfig, augment, evaluate, hflip,
-                          lr_at, normalize_dataset, pad_crop, sgd_step,
-                          top1_error, train)
+                          lr_at, normalize_dataset, pad_crop, sgd_step, train)
 
 
 class TestLrSchedule:
@@ -193,11 +192,6 @@ class TestNormalize:
 
 
 class TestEvaluate:
-    def test_onehot_logits_zero_error(self):
-        labels = np.array([0, 3, 9, 1])
-        logits = np.eye(10)[labels] * 5.0
-        assert top1_error(logits, labels) == 0.0
-
     def test_chance_level_for_random_model(self):
         # untrained network on many random labels: error near 1 - 1/K
         ds = synthetic_dataset(seed=8, classes=10, n=400, difficulty="hard")
